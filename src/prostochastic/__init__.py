@@ -6,8 +6,8 @@ from .core import (AutomatonFormatError, BooleanMatrix, Concat, Literal,
                    Power, ProbabilisticAutomaton, StochasticMatrix,
                    WordSchedule, acceptance_probability, automaton_from_json,
                    automaton_to_json, expand_schedule, load_automaton,
-                   matrix_norm, matrix_power, matrix_product, save_automaton,
-                   schedule_acceptance_probability, schedule_matrix)
+                   matrix_norm, save_automaton, schedule_acceptance_probability,
+                   schedule_matrix)
 from .expressions import (Letter, Omega, OmegaExpression, Product,
                           expression_depth, format_expression, product_of)
 from .monoid import (IdempotenceError, MarkovMonoid, MonoidElement,
@@ -15,8 +15,8 @@ from .monoid import (IdempotenceError, MarkovMonoid, MonoidElement,
                      format_monoid, is_idempotent, is_value1_witness,
                      markov_monoid, stabilize, transition_monoid)
 from .numerics import (ConvergenceReport, NonConvergenceError, RateFit,
-                       SamplePoint, concat_schedules, estimate_limit,
-                       limit_matrix, limit_projection, numeric_interpretation,
+                       SamplePoint, estimate_limit, limit_matrix,
+                       limit_projection, numeric_interpretation,
                        polynomial_exponent, realize_polynomial,
                        realize_superpolynomial, superpolynomial_exponent)
 from .omega import (ExpressionSyntaxError, boolean_interpretation,

@@ -100,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "acceptance-to-limit reductions.")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    analyze = commands.add_parser("analyze", help="decide the value-1 question on an automaton file")
+    analyze = commands.add_parser(
+        "analyze", help="decide the value-1 question on an automaton file",
+        description="Print YES and a value-1 witness (exit 0), or NO (exit 1). "
+                    "NO means no witness in the Markov monoid, not value < 1.")
     analyze.add_argument("automaton")
     analyze.add_argument("--verify", action="store_true",
                          help="also simulate the witness expression")

@@ -57,9 +57,9 @@ class StochasticMatrix:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "StochasticMatrix":
-        # Trusted constructor for arithmetic results: products and powers of
-        # stochastic matrices stay stochastic up to rounding, so the row-sum
-        # check is skipped.
+        # Trusted constructor for arithmetic results (products and powers of
+        # stochastic matrices stay stochastic up to rounding) and for rows
+        # the file loader has already checked: the row-sum check is skipped.
         matrix = object.__new__(cls)
         arr = np.asarray(arr, dtype=float)
         arr.flags.writeable = False
@@ -102,14 +102,6 @@ class StochasticMatrix:
 
     def __repr__(self):
         return f"StochasticMatrix({self._entries.tolist()!r})"
-
-
-def matrix_product(left: StochasticMatrix, right: StochasticMatrix) -> StochasticMatrix:
-    return left @ right
-
-
-def matrix_power(matrix: StochasticMatrix, exponent: int) -> StochasticMatrix:
-    return matrix.power(exponent)
 
 
 @dataclass(frozen=True)
@@ -414,7 +406,7 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
             total = sum(row)
             _require(abs(total - 1.0) <= ROW_SUM_TOLERANCE,
                      f"letter {letter!r}, row {i} ({states[i]!r}): sums to {total!r}, expected 1")
-        transitions[letter] = StochasticMatrix(rows)
+        transitions[letter] = StochasticMatrix._wrap(rows)
 
     try:
         automaton = ProbabilisticAutomaton(states, alphabet, transitions, initial, final)

@@ -69,29 +69,6 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
     ))
 
 
-def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
-    """All supports reachable by finite words: the closure of the letter
-    projections under boolean product, in deterministic discovery order."""
-    elements: list[BooleanMatrix] = []
-    seen = set()
-    for letter in automaton.alphabet:
-        matrix = boolean_projection(automaton.transition(letter))
-        if matrix not in seen:
-            seen.add(matrix)
-            elements.append(matrix)
-    while True:
-        snapshot = list(elements)
-        before = len(elements)
-        for left in snapshot:
-            for right in snapshot:
-                product = boolean_product(left, right)
-                if product not in seen:
-                    seen.add(product)
-                    elements.append(product)
-        if len(elements) == before:
-            return tuple(elements)
-
-
 @dataclass(frozen=True)
 class MonoidElement:
     """A boolean matrix together with one omega-expression denoting it."""
@@ -117,49 +94,71 @@ class MarkovMonoid:
         return iter(self.elements)
 
 
+def _saturate(automaton: ProbabilisticAutomaton, stabilizing: bool):
+    """Right Cayley-graph closure of the letter supports (Froidure-Pin);
+    returns the supports, the elements and the generators.
+
+    Each element, in discovery order, is multiplied on the right by each
+    generator exactly once.  The generators are the distinct letter supports
+    plus, when `stabilizing`, each stabilization that is new when found,
+    which is first multiplied once into the elements already processed.
+    Every element is a generator or an element times a generator, so the
+    result is closed under product.
+    """
+    supports = {letter: boolean_projection(automaton.transition(letter))
+                for letter in automaton.alphabet}
+    elements: list[MonoidElement] = []
+    seen = set()
+
+    def add(matrix, witness):
+        if matrix in seen:
+            return None
+        seen.add(matrix)
+        elements.append(MonoidElement(matrix, witness))
+        return elements[-1]
+
+    def multiply(left, right):
+        add(boolean_product(left.matrix, right.matrix), Product(left.witness, right.witness))
+
+    for letter, matrix in supports.items():
+        add(matrix, Letter(letter))
+    generators = list(elements)
+    processed = 0
+    while processed < len(elements):
+        element = elements[processed]
+        for generator in generators:
+            multiply(element, generator)
+        processed += 1
+        if stabilizing and is_idempotent(element.matrix):
+            stable = add(stabilize(element.matrix), Omega(element.witness))
+            if stable is not None:
+                for earlier in elements[:processed]:
+                    multiply(earlier, stable)
+                generators.append(stable)
+    return supports, elements, generators
+
+
+def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
+    """All supports reachable by finite words: the closure of the letter
+    projections under boolean product, in discovery order (the letters,
+    then each element times each letter)."""
+    _, elements, _ = _saturate(automaton, stabilizing=False)
+    return tuple(element.matrix for element in elements)
+
+
 def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
     """Saturate the letter supports under product and stabilization of
     idempotents.
 
-    The fixpoint set is order-independent; the witness attached to each
-    matrix is the first expression that produced it under a fixed schedule
-    (generators in alphabet order, then per round all pairwise products
-    before all stabilizations).
+    The fixpoint set is order-independent; each matrix carries the first
+    expression that produced it in discovery order: the letters in alphabet
+    order, then each element in turn times each generator (the letters, then
+    new stabilizations as found) and, if idempotent, its stabilization.
     """
-    generators = {
-        letter: boolean_projection(automaton.transition(letter))
-        for letter in automaton.alphabet
-    }
-
-    elements: list[MonoidElement] = []
-    seen = set()
-    counts = {"product": 0, "stabilization": 0}
-
-    def add(matrix, witness, kind=None):
-        if matrix not in seen:
-            seen.add(matrix)
-            elements.append(MonoidElement(matrix, witness))
-            if kind is not None:
-                counts[kind] += 1
-
-    for letter in automaton.alphabet:
-        add(generators[letter], Letter(letter))
-
-    while True:
-        snapshot = list(elements)
-        before = len(elements)
-        for left in snapshot:
-            for right in snapshot:
-                add(boolean_product(left.matrix, right.matrix),
-                    Product(left.witness, right.witness), "product")
-        for element in snapshot:
-            if is_idempotent(element.matrix):
-                add(stabilize(element.matrix), Omega(element.witness), "stabilization")
-        if len(elements) == before:
-            break
-
-    return MarkovMonoid(tuple(elements), generators,
-                        counts["product"], counts["stabilization"])
+    supports, elements, generators = _saturate(automaton, stabilizing=True)
+    letters = len(set(supports.values()))
+    return MarkovMonoid(tuple(elements), supports, len(elements) - len(generators),
+                        len(generators) - letters)
 
 
 def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) -> bool:

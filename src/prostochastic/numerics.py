@@ -156,10 +156,6 @@ def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     return Power(inner, superpolynomial_exponent(n * inner.length))
 
 
-def concat_schedules(left: WordSchedule, right: WordSchedule) -> WordSchedule:
-    return Concat(left, right)
-
-
 # ---------------------------------------------------------------------------
 # Convergence reports.
 

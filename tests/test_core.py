@@ -5,7 +5,6 @@ from prostochastic import (AutomatonFormatError, Concat, Literal, Power,
                            ProbabilisticAutomaton, StochasticMatrix,
                            acceptance_probability, automaton_from_json,
                            automaton_to_json, expand_schedule, matrix_norm,
-                           matrix_power, matrix_product,
                            schedule_acceptance_probability)
 from conftest import absorbing_automaton, funnel_automaton, random_stochastic
 
@@ -16,8 +15,8 @@ class TestStochasticMatrix:
     def test_identity_product_is_neutral(self):
         m = StochasticMatrix(ABSORBING)
         i = StochasticMatrix.identity(2)
-        assert np.allclose(matrix_product(i, m).entries, m.entries)
-        assert np.allclose(matrix_product(m, i).entries, m.entries)
+        assert np.allclose((i @ m).entries, m.entries)
+        assert np.allclose((m @ i).entries, m.entries)
 
     def test_hand_product(self):
         m = StochasticMatrix(ABSORBING)
@@ -70,34 +69,34 @@ class TestMatrixNorm:
 class TestMatrixPower:
     def test_zeroth_power_is_identity(self):
         m = StochasticMatrix(ABSORBING)
-        assert np.allclose(matrix_power(m, 0).entries, np.eye(2))
+        assert np.allclose(m.power(0).entries, np.eye(2))
 
     def test_first_power_is_self(self):
         m = StochasticMatrix(ABSORBING)
-        assert np.allclose(matrix_power(m, 1).entries, m.entries)
+        assert np.allclose(m.power(1).entries, m.entries)
 
     def test_geometric_absorption_closed_form(self):
         # Entry (0, 1) of the absorbing matrix to the k-th power is 1 - 2^-k.
         m = StochasticMatrix(ABSORBING)
         for k in range(1, 11):
-            assert matrix_power(m, k).entries[0, 1] == pytest.approx(1.0 - 2.0 ** -k, abs=1e-12)
+            assert m.power(k).entries[0, 1] == pytest.approx(1.0 - 2.0 ** -k, abs=1e-12)
 
     def test_exponent_additivity(self, rng):
         for _ in range(30):
             m = random_stochastic(rng, 3)
             a, b = int(rng.integers(0, 8)), int(rng.integers(0, 8))
-            combined = matrix_power(m, a + b).entries
-            split = (matrix_power(m, a) @ matrix_power(m, b)).entries
+            combined = m.power(a + b).entries
+            split = (m.power(a) @ m.power(b)).entries
             assert np.all(np.abs(combined - split) <= 1e-9)
 
     def test_big_integer_exponent(self):
         m = StochasticMatrix(ABSORBING)
-        result = matrix_power(m, 10 ** 40)
+        result = m.power(10 ** 40)
         assert np.allclose(result.entries, [[0.0, 1.0], [0.0, 1.0]])
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            matrix_power(StochasticMatrix.identity(2), -1)
+            StochasticMatrix.identity(2).power(-1)
 
 
 class TestAutomaton:

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import prostochastic.monoid as monoid_module
 from prostochastic import (BooleanMatrix, IdempotenceError, Letter, Omega,
-                           Product, StochasticMatrix, boolean_interpretation,
-                           boolean_product, boolean_projection,
+                           ProbabilisticAutomaton, Product, StochasticMatrix,
+                           boolean_interpretation, boolean_product,
+                           boolean_projection, build_reduction,
                            counterexample_automaton, find_value1_witness,
                            format_expression, format_monoid, is_idempotent,
                            is_value1_witness, markov_monoid, parse_expression,
                            stabilize, transition_monoid)
 from conftest import (absorbing_automaton, brute_force_word_closure,
-                      funnel_automaton, permutation_automaton,
+                      coin_automaton, funnel_automaton, permutation_automaton,
                       random_quarter_automaton, random_stochastic,
                       single_state_automaton)
 
@@ -250,3 +252,59 @@ class TestMonoidDump:
         lines = format_monoid(markov_monoid(absorbing)).splitlines()
         assert lines[0] == "1101 a"
         assert lines[1] == "0101 a^w"
+
+
+def deterministic_pair_automaton():
+    """a moves s0 to the final state s1, which it keeps."""
+    return ProbabilisticAutomaton(("s0", "s1"), ("a",), {"a": [[0.0, 1.0], [0.0, 1.0]]},
+                                  (1.0, 0.0), (False, True))
+
+
+# Reductions of small base automata and the size of their Markov monoids.
+REDUCTIONS = {
+    "accepting state": (lambda: single_state_automaton(accepting=True), 14),
+    "rejecting state": (lambda: single_state_automaton(accepting=False), 14),
+    "deterministic pair": (deterministic_pair_automaton, 310),
+    "coin 0.7": (lambda: coin_automaton(0.7), 268),
+}
+
+
+def counted_products(monkeypatch):
+    """Count every boolean product the saturation makes, including those
+    inside idempotence tests and stabilizations."""
+    calls = []
+    original = monoid_module.boolean_product
+
+    def counting(left, right):
+        calls.append(None)
+        return original(left, right)
+
+    monkeypatch.setattr(monoid_module, "boolean_product", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+class TestReductionMonoids:
+    def test_element_count_and_witnesses(self, name):
+        make_base, size = REDUCTIONS[name]
+        monoid = markov_monoid(build_reduction(make_base()).automaton)
+        assert len(monoid) == size
+        for element in monoid:
+            assert boolean_interpretation(element.witness, monoid.generators) == \
+                element.matrix, format_expression(element.witness)
+
+    def test_each_element_meets_each_generator_once(self, name, monkeypatch):
+        # Products <= |M| * (|G| + 2): one per element and generator, plus at
+        # most two inside the idempotence test and stabilization of each
+        # element.  G is the letters plus the new stabilizations.
+        automaton = build_reduction(REDUCTIONS[name][0]()).automaton
+        calls = counted_products(monkeypatch)
+        monoid = markov_monoid(automaton)
+        generators = len(automaton.alphabet) + monoid.stabilization_count
+        assert len(calls) <= len(monoid) * (generators + 2)
+
+    def test_transition_monoid_meets_each_letter_once(self, name, monkeypatch):
+        automaton = build_reduction(REDUCTIONS[name][0]()).automaton
+        calls = counted_products(monkeypatch)
+        elements = transition_monoid(automaton)
+        assert len(calls) <= len(elements) * len(automaton.alphabet)

@@ -4,8 +4,8 @@ import pytest
 from prostochastic import (Concat, IdempotenceError, Literal,
                            NonConvergenceError, Power, SamplePoint,
                            StochasticMatrix, boolean_interpretation,
-                           boolean_projection, concat_schedules,
-                           counterexample_automaton, estimate_limit,
+                           boolean_projection, counterexample_automaton,
+                           estimate_limit,
                            expand_schedule, is_idempotent, limit_matrix,
                            limit_projection, numeric_interpretation,
                            parse_expression, polynomial_exponent,
@@ -88,11 +88,11 @@ class TestLimitMatrix:
 
     def test_limit_absorbs_further_factorial_powers(self, rng):
         # L is a fixed point of multiplication by large factorial powers of M.
-        from prostochastic import matrix_norm, matrix_power
+        from prostochastic import matrix_norm
         for _ in range(10):
             m = random_stochastic(rng, 3)
             limit = limit_matrix(m)
-            residual = (limit @ matrix_power(m, polynomial_exponent(5040))).entries
+            residual = (limit @ m.power(polynomial_exponent(5040))).entries
             assert matrix_norm(limit.entries - residual) <= 1e-8
 
     def test_non_convergence_reports_distance(self):
@@ -173,11 +173,11 @@ class TestConcat:
     def test_concat_denotes_concatenation(self):
         left = Literal(("a", "b"))
         right = Literal(("c",))
-        assert expand_schedule(concat_schedules(left, right)) == ("a", "b", "c")
+        assert expand_schedule(Concat(left, right)) == ("a", "b", "c")
 
     def test_empty_literal_is_neutral(self, funnel):
         schedule = Literal(("b", "a", "a"))
-        padded = concat_schedules(schedule, Literal(()))
+        padded = Concat(schedule, Literal(()))
         assert schedule_acceptance_probability(funnel, padded) == \
             schedule_acceptance_probability(funnel, schedule)
 
@@ -190,8 +190,8 @@ class TestConcat:
         tail = parse_expression("a^w", funnel.alphabet)
         samples = []
         for n in range(1, 25):
-            schedule = concat_schedules(realize_polynomial(prefix, n),
-                                        realize_polynomial(tail, n))
+            schedule = Concat(realize_polynomial(prefix, n),
+                              realize_polynomial(tail, n))
             samples.append(SamplePoint(n, schedule.length,
                                        schedule_acceptance_probability(funnel, schedule)))
         report = build_report(samples)
