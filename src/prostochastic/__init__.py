@@ -13,7 +13,8 @@ from .expressions import (Letter, Omega, OmegaExpression, Product,
 from .monoid import (IdempotenceError, MarkovMonoid, MonoidElement,
                      boolean_product, boolean_projection, find_value1_witness,
                      format_monoid, is_idempotent, is_value1_witness,
-                     markov_monoid, stabilize, transition_monoid)
+                     letter_supports, markov_monoid, stabilize,
+                     transition_monoid)
 from .numerics import (ConvergenceReport, NonConvergenceError, RateFit,
                        SamplePoint, estimate_limit, limit_matrix,
                        limit_projection, numeric_interpretation,

@@ -12,8 +12,8 @@ import sys
 
 from .core import AutomatonFormatError, automaton_to_json, load_automaton
 from .expressions import format_expression
-from .monoid import (IdempotenceError, boolean_projection, find_value1_witness,
-                     format_monoid, markov_monoid)
+from .monoid import (IdempotenceError, find_value1_witness, format_monoid,
+                     letter_supports, markov_monoid)
 from .numerics import MODES, NonConvergenceError, estimate_limit
 from .omega import (ExpressionSyntaxError, boolean_interpretation,
                     parse_expression, parse_word, repair_suggestion)
@@ -62,8 +62,7 @@ def cmd_monoid(args) -> int:
 def cmd_simulate(args) -> int:
     automaton = load_automaton(args.automaton)
     expr = parse_expression(args.expression, automaton.alphabet)
-    generators = {letter: boolean_projection(automaton.transition(letter))
-                  for letter in automaton.alphabet}
+    generators = letter_supports(automaton)
     try:
         boolean_interpretation(expr, generators)
         report = estimate_limit(automaton, expr, args.mode, args.n_max)

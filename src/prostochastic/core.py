@@ -104,33 +104,73 @@ class StochasticMatrix:
         return f"StochasticMatrix({self._entries.tolist()!r})"
 
 
-@dataclass(frozen=True)
 class BooleanMatrix:
-    """Square 0/1 matrix stored as a tuple of row tuples."""
+    """Square 0/1 matrix stored as one int bitmask per row: bit t of
+    ``masks[s]`` is entry (s, t).  Immutable; equality and hashing use the
+    masks.  Python ints have no width limit, so neither has the dimension.
+    """
 
-    rows: tuple
+    __slots__ = ("masks", "dim")
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+    def __init__(self, rows):
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise ValueError("expected a non-empty square matrix")
         if any(v not in (0, 1) for row in rows for v in row):
             raise ValueError("entries must be 0 or 1")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "masks", tuple(
+            sum(v << t for t, v in enumerate(row)) for row in rows))
+        object.__setattr__(self, "dim", len(rows))
+
+    @classmethod
+    def _wrap(cls, masks: tuple, dim: int) -> "BooleanMatrix":
+        # Trusted constructor for kernel results: `masks` is a tuple of
+        # `dim` ints below 2**dim and is not checked.
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "masks", masks)
+        object.__setattr__(matrix, "dim", dim)
+        return matrix
 
     @classmethod
     def identity(cls, dim: int) -> "BooleanMatrix":
         return cls(tuple(tuple(1 if s == t else 0 for t in range(dim)) for s in range(dim)))
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BooleanMatrix is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BooleanMatrix is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return BooleanMatrix, (self.rows,)
+
+    def __eq__(self, other):
+        if not isinstance(other, BooleanMatrix):
+            return NotImplemented
+        return self.masks == other.masks
+
+    def __hash__(self):
+        return hash(self.masks)
+
     @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        """Row tuples of 0/1 entries, built on each access."""
+        return tuple(tuple(mask >> t & 1 for t in range(self.dim)) for mask in self.masks)
+
+    def _row_strings(self):
+        # Bit t is column t, so the row reads as the mask's binary digits
+        # in reverse.
+        width = f"0{self.dim}b"
+        return (format(mask, width)[::-1] for mask in self.masks)
 
     def bitstring(self) -> str:
-        return "".join(str(v) for row in self.rows for v in row)
+        return "".join(self._row_strings())
 
     def __str__(self):
-        return "\n".join("".join(str(v) for v in row) for row in self.rows)
+        return "\n".join(self._row_strings())
+
+    def __repr__(self):
+        return f"BooleanMatrix(rows={self.rows!r})"
 
 
 class ProbabilisticAutomaton:

@@ -22,25 +22,36 @@ class IdempotenceError(ValueError):
         self.expression = expression
 
 
-def boolean_projection(matrix: StochasticMatrix) -> BooleanMatrix:
-    """Support of a stochastic matrix: 1 exactly where the entry is positive."""
-    return BooleanMatrix(tuple(
-        tuple(1 if v > 0.0 else 0 for v in row) for row in matrix.entries
-    ))
+def boolean_projection(matrix: StochasticMatrix, threshold: float = 0.0) -> BooleanMatrix:
+    """Support of a stochastic matrix: 1 exactly where the entry exceeds
+    `threshold`, by default where it is positive."""
+    return BooleanMatrix._wrap(tuple(
+        sum(1 << t for t, v in enumerate(row) if v > threshold)
+        for row in matrix.entries.tolist()
+    ), matrix.dim)
+
+
+def letter_supports(automaton: ProbabilisticAutomaton) -> dict:
+    """Support of each letter's transition matrix, in alphabet order."""
+    return {letter: boolean_projection(automaton.transition(letter))
+            for letter in automaton.alphabet}
 
 
 def boolean_product(left: BooleanMatrix, right: BooleanMatrix) -> BooleanMatrix:
+    """Row s of the product is the OR of the right operand's rows k over the
+    set bits k of the left operand's row s."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
-    d = left.dim
-    lrows, rrows = left.rows, right.rows
-    return BooleanMatrix(tuple(
-        tuple(
-            1 if any(lrows[s][k] and rrows[k][t] for k in range(d)) else 0
-            for t in range(d)
-        )
-        for s in range(d)
-    ))
+    rmasks = right.masks
+    product = []
+    for mask in left.masks:
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= rmasks[low.bit_length() - 1]
+            mask ^= low
+        product.append(row)
+    return BooleanMatrix._wrap(tuple(product), left.dim)
 
 
 def is_idempotent(matrix: BooleanMatrix) -> bool:
@@ -57,16 +68,18 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
     """
     if not is_idempotent(matrix):
         raise IdempotenceError("stabilization is only defined on idempotent matrices")
-    rows = matrix.rows
-    d = matrix.dim
-    recurrent = [
-        all(not rows[t][s] or rows[s][t] for s in range(d))
-        for t in range(d)
-    ]
-    return BooleanMatrix(tuple(
-        tuple(1 if rows[s][t] and recurrent[t] else 0 for t in range(d))
-        for s in range(d)
-    ))
+    return _clear_transient_columns(matrix)
+
+
+def _clear_transient_columns(matrix: BooleanMatrix) -> BooleanMatrix:
+    # `stabilize` without its idempotence test, for callers that have just
+    # made it.
+    masks = matrix.masks
+    recurrent = 0
+    for t, row in enumerate(masks):
+        if all(masks[s] >> t & 1 for s in range(matrix.dim) if row >> s & 1):
+            recurrent |= 1 << t
+    return BooleanMatrix._wrap(tuple(mask & recurrent for mask in masks), matrix.dim)
 
 
 @dataclass(frozen=True)
@@ -105,23 +118,24 @@ def _saturate(automaton: ProbabilisticAutomaton, stabilizing: bool):
     Every element is a generator or an element times a generator, so the
     result is closed under product.
     """
-    supports = {letter: boolean_projection(automaton.transition(letter))
-                for letter in automaton.alphabet}
+    supports = letter_supports(automaton)
     elements: list[MonoidElement] = []
     seen = set()
 
     def add(matrix, witness):
-        if matrix in seen:
-            return None
         seen.add(matrix)
         elements.append(MonoidElement(matrix, witness))
         return elements[-1]
 
     def multiply(left, right):
-        add(boolean_product(left.matrix, right.matrix), Product(left.witness, right.witness))
+        # Most products are duplicates; their witness is never built.
+        matrix = boolean_product(left.matrix, right.matrix)
+        if matrix not in seen:
+            add(matrix, Product(left.witness, right.witness))
 
     for letter, matrix in supports.items():
-        add(matrix, Letter(letter))
+        if matrix not in seen:
+            add(matrix, Letter(letter))
     generators = list(elements)
     processed = 0
     while processed < len(elements):
@@ -130,8 +144,9 @@ def _saturate(automaton: ProbabilisticAutomaton, stabilizing: bool):
             multiply(element, generator)
         processed += 1
         if stabilizing and is_idempotent(element.matrix):
-            stable = add(stabilize(element.matrix), Omega(element.witness))
-            if stable is not None:
+            matrix = _clear_transient_columns(element.matrix)
+            if matrix not in seen:
+                stable = add(matrix, Omega(element.witness))
                 for earlier in elements[:processed]:
                     multiply(earlier, stable)
                 generators.append(stable)
@@ -163,13 +178,8 @@ def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
 
 def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) -> bool:
     """Every transition from an initially-supported state lands in a final state."""
-    final = automaton.final
-    return all(
-        final[t]
-        for s in automaton.initial_support()
-        for t in range(matrix.dim)
-        if matrix.rows[s][t]
-    )
+    rejecting = sum(1 << t for t, accepting in enumerate(automaton.final) if not accepting)
+    return not any(matrix.masks[s] & rejecting for s in automaton.initial_support())
 
 
 def find_value1_witness(monoid: MarkovMonoid,

@@ -19,7 +19,7 @@ from .core import (Concat, Literal, Power, ProbabilisticAutomaton,
                    StochasticMatrix, BooleanMatrix, WordSchedule, matrix_norm,
                    schedule_acceptance_probability)
 from .expressions import Letter, Omega, OmegaExpression, Product
-from .monoid import boolean_projection
+from .monoid import boolean_projection, letter_supports
 from .omega import boolean_interpretation
 
 PROJECTION_EPSILON = 1e-6
@@ -95,9 +95,7 @@ def limit_projection(matrix: StochasticMatrix,
     iterated limit may carry float dust, so positivity is tested against a
     threshold; true limit entries are either 0 or bounded well away from it.
     """
-    return BooleanMatrix(tuple(
-        tuple(1 if v > epsilon else 0 for v in row) for row in matrix.entries
-    ))
+    return boolean_projection(matrix, epsilon)
 
 
 def numeric_interpretation(expr: OmegaExpression,
@@ -112,9 +110,7 @@ def numeric_interpretation(expr: OmegaExpression,
     non-idempotent element (checked symbolically up front, so float noise
     can never change the answer).
     """
-    generators = {letter: boolean_projection(automaton.transition(letter))
-                  for letter in automaton.alphabet}
-    boolean_interpretation(expr, generators)
+    boolean_interpretation(expr, letter_supports(automaton))
 
     def evaluate(node):
         if isinstance(node, Letter):

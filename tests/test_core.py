@@ -1,11 +1,15 @@
+import copy
+import pickle
+import random
+
 import numpy as np
 import pytest
 
-from prostochastic import (AutomatonFormatError, Concat, Literal, Power,
-                           ProbabilisticAutomaton, StochasticMatrix,
+from prostochastic import (AutomatonFormatError, BooleanMatrix, Concat, Literal,
+                           Power, ProbabilisticAutomaton, StochasticMatrix,
                            acceptance_probability, automaton_from_json,
-                           automaton_to_json, expand_schedule, matrix_norm,
-                           schedule_acceptance_probability)
+                           automaton_to_json, boolean_product, expand_schedule,
+                           matrix_norm, schedule_acceptance_probability)
 from conftest import absorbing_automaton, funnel_automaton, random_stochastic
 
 ABSORBING = [[0.5, 0.5], [0.0, 1.0]]
@@ -45,6 +49,63 @@ class TestStochasticMatrix:
         m = StochasticMatrix(ABSORBING)
         with pytest.raises(ValueError):
             m.entries[0, 0] = 0.0
+
+
+def random_boolean(rng, d):
+    return BooleanMatrix(tuple(tuple(int(rng.random() < 0.3) for _ in range(d))
+                               for _ in range(d)))
+
+
+class TestBooleanMatrix:
+    def samples(self):
+        rng = random.Random(5)
+        built = [random_boolean(rng, d) for d in (1, 2, 3, 7, 9, 64, 65, 70)]
+        # Kernel results come from the trusted constructor.
+        return built + [boolean_product(m, m) for m in built]
+
+    def test_rows_round_trip_with_equal_hashes(self):
+        for m in self.samples():
+            again = BooleanMatrix(m.rows)
+            assert again == m
+            assert hash(again) == hash(m)
+            assert again.dim == m.dim == len(m.rows)
+
+    def test_bitstring_and_str_are_row_major(self):
+        for m in self.samples():
+            assert m.bitstring() == "".join(str(v) for row in m.rows for v in row)
+            assert str(m).splitlines() == ["".join(str(v) for v in row) for row in m.rows]
+        assert BooleanMatrix(((1, 1), (0, 1))).bitstring() == "1101"
+
+    def test_distinct_matrices_differ(self):
+        upper = BooleanMatrix(((1, 1), (0, 1)))
+        assert upper != BooleanMatrix(((1, 0), (1, 1)))
+        assert upper != BooleanMatrix.identity(2)
+        assert upper != upper.rows
+
+    def test_immutable(self):
+        m = BooleanMatrix.identity(3)
+        for name in ("masks", "dim", "rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 1)
+        with pytest.raises(AttributeError):
+            del m.masks
+        assert m == BooleanMatrix.identity(3)
+
+    def test_copy_and_pickle(self):
+        for m in self.samples():
+            assert copy.deepcopy(m) == m
+            assert pickle.loads(pickle.dumps(m)) == m
+
+    @pytest.mark.parametrize("rows", [
+        ((0, 2), (1, 0)),
+        ((0, -1), (1, 0)),
+        ((1, 0),),
+        ((1, 0), (1,)),
+        (),
+    ])
+    def test_constructor_rejects_bad_rows(self, rows):
+        with pytest.raises(ValueError):
+            BooleanMatrix(rows)
 
 
 class TestMatrixNorm:

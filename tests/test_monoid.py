@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import prostochastic.monoid as monoid_module
 from prostochastic import (BooleanMatrix, IdempotenceError, Letter, Omega,
@@ -74,6 +78,8 @@ class TestBooleanProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             boolean_product(UPPER, BooleanMatrix.identity(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            boolean_product(BooleanMatrix.identity(70), BooleanMatrix.identity(71))
 
 
 class TestIdempotence:
@@ -115,6 +121,105 @@ class TestStabilize:
                 continue
             found += 1
             assert stabilize(support) == numeric_support_of_power_limit(m.entries)
+
+
+def reference_product(left, right):
+    d = len(left)
+    return [[int(any(left[s][k] and right[k][t] for k in range(d))) for t in range(d)]
+            for s in range(d)]
+
+
+def reference_stabilize(matrix):
+    d = len(matrix)
+    recurrent = [all(not matrix[t][s] or matrix[s][t] for s in range(d)) for t in range(d)]
+    return [[int(matrix[s][t] and recurrent[t]) for t in range(d)] for s in range(d)]
+
+
+def reference_closure(matrix):
+    """Reflexive-transitive closure (Warshall), which is always idempotent."""
+    d = len(matrix)
+    closure = [[int(matrix[s][t] or s == t) for t in range(d)] for s in range(d)]
+    for k in range(d):
+        for s in range(d):
+            if closure[s][k]:
+                closure[s] = [a or b for a, b in zip(closure[s], closure[k])]
+    return closure
+
+
+def as_rows(dense):
+    return tuple(tuple(row) for row in dense)
+
+
+# d = 70 rows do not fit a 64-bit word.
+DIMS = list(range(1, 10)) + [70]
+
+
+@st.composite
+def dense_pairs(draw):
+    """Two supports of stochastic matrices of one dimension: each row ANDs
+    one to three random masks, so densities of 1/2, 1/4 and 1/8 all occur,
+    and then sets one bit, so no row is empty."""
+    d = draw(st.sampled_from(DIMS))
+
+    def dense():
+        rows = []
+        for _ in range(d):
+            mask = (1 << d) - 1
+            for _ in range(draw(st.integers(1, 3))):
+                mask &= draw(st.integers(0, (1 << d) - 1))
+            mask |= 1 << draw(st.integers(0, d - 1))
+            rows.append([mask >> t & 1 for t in range(d)])
+        return rows
+
+    return dense(), dense()
+
+
+def cycle(d):
+    """s -> s + 1 mod d: a product with it on the left permutes the rows of
+    the right operand, so a dropped row shows."""
+    return [[int(t == (s + 1) % d) for t in range(d)] for s in range(d)]
+
+
+def path(d):
+    """s -> s + 1 and d - 1 -> d - 1: its closure is idempotent and only the
+    last column survives stabilization."""
+    return [[int(t == min(s + 1, d - 1)) for t in range(d)] for s in range(d)]
+
+
+def sparse(d, seed):
+    rng = random.Random(seed)
+    return [[int(rng.random() < 0.05 or t == s) for t in range(d)] for s in range(d)]
+
+
+class TestKernelAgainstDenseReference:
+    """The bitmask kernel against triple loops over row lists."""
+
+    @settings(deadline=None)
+    @given(dense_pairs())
+    @example((cycle(70), sparse(70, 1)))
+    def test_product(self, pair):
+        left, right = pair
+        product = boolean_product(BooleanMatrix(left), BooleanMatrix(right))
+        assert product.rows == as_rows(reference_product(left, right))
+        assert product == BooleanMatrix(reference_product(left, right))
+
+    @settings(deadline=None)
+    @given(dense_pairs())
+    @example((path(70), None))
+    def test_idempotence_and_stabilization(self, pair):
+        dense, _ = pair
+        for candidate in (dense, reference_closure(dense)):
+            matrix = BooleanMatrix(candidate)
+            idempotent = reference_product(candidate, candidate) == candidate
+            assert is_idempotent(matrix) == idempotent
+            if not idempotent:
+                with pytest.raises(IdempotenceError):
+                    stabilize(matrix)
+                continue
+            stable = reference_stabilize(candidate)
+            assert stabilize(matrix).rows == as_rows(stable)
+            # A stabilization is itself idempotent, often with cleared columns.
+            assert stabilize(BooleanMatrix(stable)).rows == as_rows(reference_stabilize(stable))
 
 
 class TestTransitionMonoid:
@@ -294,14 +399,15 @@ class TestReductionMonoids:
                 element.matrix, format_expression(element.witness)
 
     def test_each_element_meets_each_generator_once(self, name, monkeypatch):
-        # Products <= |M| * (|G| + 2): one per element and generator, plus at
-        # most two inside the idempotence test and stabilization of each
-        # element.  G is the letters plus the new stabilizations.
+        # Products <= |M| * (|G| + 1): one per element and generator, plus
+        # one for the idempotence test of each element; stabilizing an
+        # element found idempotent does not test it again.  G is the letters
+        # plus the new stabilizations.
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
         calls = counted_products(monkeypatch)
         monoid = markov_monoid(automaton)
         generators = len(automaton.alphabet) + monoid.stabilization_count
-        assert len(calls) <= len(monoid) * (generators + 2)
+        assert len(calls) <= len(monoid) * (generators + 1)
 
     def test_transition_monoid_meets_each_letter_once(self, name, monkeypatch):
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
