@@ -8,6 +8,7 @@ NO; every command exits 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import AutomatonFormatError, automaton_to_json, load_automaton
@@ -139,9 +140,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first `main` call, not at import, and reused: parsing
+    # fills a fresh namespace each time, so no call sees another's options.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AutomatonFormatError, ExpressionSyntaxError, PreconditionError,

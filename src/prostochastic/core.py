@@ -352,20 +352,36 @@ def expand_schedule(schedule: WordSchedule, limit: int = 10**6) -> tuple:
     raise TypeError(f"not a word schedule: {schedule!r}")
 
 
-def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule) -> StochasticMatrix:
-    """Transition matrix of the denoted word, computed without expansion."""
+def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
+                    memo: dict | None = None) -> StochasticMatrix:
+    """Transition matrix of the denoted word, computed without expansion.
+
+    `memo` maps schedule nodes to their matrices on this automaton.  Equal
+    nodes hash alike, so a sub-schedule that recurs, within one schedule or
+    across the calls of a sweep that share the dict, is evaluated once.
+    """
+    if memo is None:
+        memo = {}
+    matrix = memo.get(schedule)
+    if matrix is not None:
+        return matrix
     if isinstance(schedule, Literal):
-        return automaton.word_matrix(schedule.word)
-    if isinstance(schedule, Concat):
-        return schedule_matrix(automaton, schedule.left) @ schedule_matrix(automaton, schedule.right)
-    if isinstance(schedule, Power):
-        return schedule_matrix(automaton, schedule.child).power(schedule.exponent)
-    raise TypeError(f"not a word schedule: {schedule!r}")
+        matrix = automaton.word_matrix(schedule.word)
+    elif isinstance(schedule, Concat):
+        matrix = (schedule_matrix(automaton, schedule.left, memo)
+                  @ schedule_matrix(automaton, schedule.right, memo))
+    elif isinstance(schedule, Power):
+        matrix = schedule_matrix(automaton, schedule.child, memo).power(schedule.exponent)
+    else:
+        raise TypeError(f"not a word schedule: {schedule!r}")
+    memo[schedule] = matrix
+    return matrix
 
 
 def schedule_acceptance_probability(automaton: ProbabilisticAutomaton,
-                                    schedule: WordSchedule) -> float:
-    matrix = schedule_matrix(automaton, schedule)
+                                    schedule: WordSchedule,
+                                    memo: dict | None = None) -> float:
+    matrix = schedule_matrix(automaton, schedule, memo)
     value = float(automaton.initial @ matrix.entries @ automaton._final_vector)
     return min(max(value, 0.0), 1.0)
 

@@ -176,20 +176,24 @@ def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
                         len(generators) - letters)
 
 
+def _value1_test(automaton: ProbabilisticAutomaton):
+    # The initial support and the rejecting-state mask, computed once.
+    initial = automaton.initial_support()
+    rejecting = sum(1 << t for t, accepting in enumerate(automaton.final) if not accepting)
+    return lambda matrix: not any(matrix.masks[s] & rejecting for s in initial)
+
+
 def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) -> bool:
     """Every transition from an initially-supported state lands in a final state."""
-    rejecting = sum(1 << t for t, accepting in enumerate(automaton.final) if not accepting)
-    return not any(matrix.masks[s] & rejecting for s in automaton.initial_support())
+    return _value1_test(automaton)(matrix)
 
 
 def find_value1_witness(monoid: MarkovMonoid,
                         automaton: ProbabilisticAutomaton) -> Optional[MonoidElement]:
     """First monoid element (in discovery order) that is a value-1 witness,
     or None; the algorithm answers YES exactly when one exists."""
-    for element in monoid.elements:
-        if is_value1_witness(element.matrix, automaton):
-            return element
-    return None
+    is_witness = _value1_test(automaton)
+    return next((element for element in monoid.elements if is_witness(element.matrix)), None)
 
 
 def format_monoid(monoid: MarkovMonoid) -> str:

@@ -286,9 +286,10 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
+    memo = {}   # consecutive n mostly share their factorials and sub-schedules
     samples = []
     for n in range(1, n_max + 1):
         schedule = realize(expr, n)
-        value = schedule_acceptance_probability(automaton, schedule)
+        value = schedule_acceptance_probability(automaton, schedule, memo)
         samples.append(SamplePoint(n, schedule.length, value))
     return build_report(samples)

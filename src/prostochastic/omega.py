@@ -164,12 +164,13 @@ def boolean_interpretation(expr: OmegaExpression,
                                boolean_interpretation(expr.right, generators))
     if isinstance(expr, Omega):
         matrix = boolean_interpretation(expr.child, generators)
-        if not is_idempotent(matrix):
+        try:
+            return stabilize(matrix)
+        except IdempotenceError:
             raise IdempotenceError(
                 f"omega applied to non-idempotent expression "
                 f"{format_expression(expr.child)!r}",
-                expression=expr.child)
-        return stabilize(matrix)
+                expression=expr.child) from None
     raise TypeError(f"not an omega-expression: {expr!r}")
 
 

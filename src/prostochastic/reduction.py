@@ -215,14 +215,16 @@ def round_schedule(n: int, word_length: int) -> tuple:
     return k, big_n
 
 
-def round_probability_by_matrix(reduction: ReductionOutput, word, k: int, rounds: int) -> float:
+def round_probability_by_matrix(reduction: ReductionOutput, word, k: int, rounds: int,
+                                memo: dict | None = None) -> float:
     """Acceptance probability of (check (w end)^k)^rounds on the built
-    automaton, evaluated by structured matrix powering."""
+    automaton, evaluated by structured matrix powering; `memo` is passed to
+    `schedule_matrix`."""
     word = tuple(word)
     schedule = Power(
         Concat(Literal((CHECK,)), Power(Literal(word + (END,)), k)),
         rounds)
-    return schedule_acceptance_probability(reduction.automaton, schedule)
+    return schedule_acceptance_probability(reduction.automaton, schedule, memo)
 
 
 def verify_reduction(automaton: ProbabilisticAutomaton, word,
@@ -238,10 +240,11 @@ def verify_reduction(automaton: ProbabilisticAutomaton, word,
     word = tuple(word)
     x = acceptance_probability(automaton, word)
     reduction = build_reduction(automaton)
+    memo = {}   # consecutive n mostly share k and so the round sub-schedule
     samples = []
     for n in range(1, n_max + 1):
         k, rounds = round_schedule(n, len(word))
-        value = round_probability_by_matrix(reduction, word, k, rounds)
+        value = round_probability_by_matrix(reduction, word, k, rounds, memo)
         reference = round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
         length = rounds * (1 + k * (len(word) + 1))
         samples.append(SamplePoint(n, length, value, reference))

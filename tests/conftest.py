@@ -117,6 +117,31 @@ def direct_round_sum(p_win, p_lose, rounds):
     return sum((1.0 - (p_win + p_lose)) ** (i - 1) * p_win for i in range(1, rounds))
 
 
+def power_nodes(schedule):
+    """Set of the `Power` nodes in a word schedule."""
+    from prostochastic import Concat, Power
+
+    if isinstance(schedule, Power):
+        return {schedule} | power_nodes(schedule.child)
+    if isinstance(schedule, Concat):
+        return power_nodes(schedule.left) | power_nodes(schedule.right)
+    return set()
+
+
+@pytest.fixture
+def power_exponents(monkeypatch):
+    """Exponent of every `StochasticMatrix.power` call made by the test."""
+    exponents = []
+    original = StochasticMatrix.power
+
+    def counting(self, exponent):
+        exponents.append(exponent)
+        return original(self, exponent)
+
+    monkeypatch.setattr(StochasticMatrix, "power", counting)
+    return exponents
+
+
 @pytest.fixture
 def absorbing():
     return absorbing_automaton()

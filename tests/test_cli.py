@@ -90,6 +90,31 @@ class TestSimulate:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRepeatedCalls:
+    """Options of one `main` call do not carry over to the next."""
+
+    @staticmethod
+    def table_rows(text):
+        return [line for line in text.splitlines() if line.split("\t")[0].isdigit()]
+
+    def test_simulate_n_max_falls_back_to_default(self, tmp_path, capsys):
+        path = write(tmp_path, "funnel.json", funnel_automaton())
+        assert main(["simulate", path, "-e", "b a^w", "-n", "4"]) == 0
+        assert len(self.table_rows(capsys.readouterr().out)) == 4
+        assert main(["simulate", path, "-e", "b a^w"]) == 0
+        assert len(self.table_rows(capsys.readouterr().out)) == 8
+
+    def test_analyze_verify_does_not_carry_over(self, tmp_path, capsys):
+        path = write(tmp_path, "funnel.json", funnel_automaton())
+        assert main(["analyze", path, "--verify"]) == 0
+        assert "extrapolated limit:" in capsys.readouterr().out
+        assert main(["analyze", path]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "YES"
+        assert "extrapolated limit:" not in out
+        assert not self.table_rows(out)
+
+
 class TestReduce:
     def test_emits_loadable_automaton_with_state_map(self, tmp_path, capsys):
         path = write(tmp_path, "coin.json", coin_automaton(0.8))

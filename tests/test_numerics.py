@@ -13,7 +13,7 @@ from prostochastic import (Concat, IdempotenceError, Literal,
                            schedule_acceptance_probability, stabilize,
                            superpolynomial_exponent)
 from prostochastic.numerics import build_report
-from conftest import (absorbing_automaton, funnel_automaton,
+from conftest import (absorbing_automaton, funnel_automaton, power_nodes,
                       random_quarter_automaton, random_stochastic,
                       single_state_automaton)
 
@@ -235,6 +235,29 @@ class TestEstimateLimit:
             estimate_limit(absorbing, expr, "glacial", 5)
         with pytest.raises(ValueError, match="n_max"):
             estimate_limit(absorbing, expr, "polynomial", 2)
+
+
+class TestSweepMemo:
+    """One `estimate_limit` sweep evaluates each distinct schedule node once."""
+
+    def test_one_power_call_per_distinct_power_node(self, power_exponents):
+        automaton = counterexample_automaton(0.9)
+        expr = parse_expression("(b a^w)^w", automaton.alphabet)
+        estimate_limit(automaton, expr, "superpolynomial", 40)
+        distinct = set().union(*(power_nodes(realize_superpolynomial(expr, n))
+                                 for n in range(1, 41)))
+        assert sorted(power_exponents) == sorted(node.exponent for node in distinct)
+
+    @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
+                                              ("superpolynomial", realize_superpolynomial)])
+    @pytest.mark.parametrize("text", ["b a^w", "(b a^w)^w"])
+    def test_samples_equal_single_schedule_values(self, mode, realize, text):
+        automaton = counterexample_automaton(0.9)
+        expr = parse_expression(text, automaton.alphabet)
+        report = estimate_limit(automaton, expr, mode, 40)
+        for sample in report.samples:
+            assert sample.value == schedule_acceptance_probability(automaton,
+                                                                   realize(expr, sample.n))
 
 
 class TestReports:

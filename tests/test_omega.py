@@ -6,8 +6,9 @@ from prostochastic import (BooleanMatrix, ExpressionSyntaxError,
                            IdempotenceError, Letter, Omega, Product,
                            boolean_interpretation, boolean_product,
                            expression_depth, format_expression,
-                           idempotent_power_exponent, parse_expression,
-                           parse_word, repair_suggestion)
+                           counterexample_automaton, idempotent_power_exponent,
+                           letter_supports, parse_expression, parse_word,
+                           repair_suggestion)
 
 AB = ("a", "b")
 
@@ -119,6 +120,22 @@ class TestBooleanInterpretation:
     def test_unknown_letter(self):
         with pytest.raises(ValueError, match="unknown letter"):
             boolean_interpretation(Letter("z"), {"a": UPPER})
+
+    def test_one_idempotence_test_per_omega_node(self, monkeypatch):
+        from prostochastic import monoid, omega
+        automaton = counterexample_automaton(0.9)
+        calls = []
+        original = monoid.is_idempotent
+
+        def counting(matrix):
+            calls.append(matrix)
+            return original(matrix)
+
+        monkeypatch.setattr(monoid, "is_idempotent", counting)
+        monkeypatch.setattr(omega, "is_idempotent", counting)
+        boolean_interpretation(parse_expression("(b a^w)^w", automaton.alphabet),
+                               letter_supports(automaton))
+        assert len(calls) == 2
 
     @given(left=expressions(AB), right=expressions(AB))
     @settings(max_examples=100)

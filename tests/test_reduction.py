@@ -8,10 +8,12 @@ from prostochastic import (Concat, Literal, Power, PreconditionError,
                            automaton_to_json, build_reduction,
                            counterexample_automaton, round_acceptance,
                            round_probability_by_matrix, round_schedule,
-                           schedule_matrix, verify_reduction)
+                           schedule_acceptance_probability, schedule_matrix,
+                           verify_reduction)
 from prostochastic.numerics import polynomial_exponent, superpolynomial_exponent
+from prostochastic.reduction import CHECK, END
 from conftest import (coin_automaton, direct_round_sum, funnel_automaton,
-                      single_state_automaton)
+                      power_nodes, single_state_automaton)
 
 
 class TestCounterexampleAutomaton:
@@ -204,6 +206,34 @@ class TestVerifyReduction:
                 by_matrix = round_probability_by_matrix(built, word, k, rounds)
                 by_formula = round_acceptance(0.5 * x ** k, 0.5 * (1 - x) ** k, rounds)
                 assert abs(by_matrix - by_formula) <= 1e-9, (k, rounds)
+
+
+class TestVerifySweepMemo:
+    """One `verify_reduction` sweep evaluates each distinct schedule node once."""
+
+    WORD = ("a",)
+    N_MAX = 30
+
+    def round_schedules(self):
+        # (check (w end)^k)^rounds at n = 1..N_MAX.
+        for n in range(1, self.N_MAX + 1):
+            k, rounds = round_schedule(n, len(self.WORD))
+            yield n, Power(Concat(Literal((CHECK,)), Power(Literal(self.WORD + (END,)), k)),
+                           rounds)
+
+    def test_one_power_call_per_distinct_power_node(self, power_exponents):
+        verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        distinct = set().union(*(power_nodes(schedule) for _, schedule in self.round_schedules()))
+        assert sorted(power_exponents) == sorted(node.exponent for node in distinct)
+
+    @pytest.mark.parametrize("x", [0.4, 0.7])
+    def test_samples_equal_single_schedule_values(self, x):
+        automaton = coin_automaton(x)
+        built = build_reduction(automaton).automaton
+        report = verify_reduction(automaton, self.WORD, n_max=self.N_MAX)
+        for sample, (n, schedule) in zip(report.samples, self.round_schedules()):
+            assert sample.n == n
+            assert sample.value == schedule_acceptance_probability(built, schedule)
 
 
 class TestPipelineInvariants:
