@@ -6,8 +6,7 @@ from .core import (AutomatonFormatError, BooleanMatrix, Concat, Literal,
                    Power, ProbabilisticAutomaton, StochasticMatrix,
                    WordSchedule, acceptance_probability, automaton_from_json,
                    automaton_to_json, expand_schedule, load_automaton,
-                   matrix_norm, save_automaton, schedule_acceptance_probability,
-                   schedule_matrix)
+                   schedule_acceptance_probability, schedule_matrix)
 from .expressions import (Letter, Omega, OmegaExpression, Product,
                           expression_depth, format_expression, product_of)
 from .monoid import (IdempotenceError, MarkovMonoid, MonoidElement,
@@ -15,11 +14,11 @@ from .monoid import (IdempotenceError, MarkovMonoid, MonoidElement,
                      format_monoid, is_idempotent, is_value1_witness,
                      letter_supports, markov_monoid, stabilize,
                      transition_monoid)
-from .numerics import (ConvergenceReport, NonConvergenceError, RateFit,
-                       SamplePoint, estimate_limit, limit_matrix,
-                       limit_projection, numeric_interpretation,
-                       polynomial_exponent, realize_polynomial,
-                       realize_superpolynomial, superpolynomial_exponent)
+from .numerics import (ConvergenceReport, RateFit, SamplePoint,
+                       estimate_limit, limit_matrix, limit_projection,
+                       numeric_interpretation, polynomial_exponent,
+                       realize_polynomial, realize_superpolynomial,
+                       superpolynomial_exponent)
 from .omega import (ExpressionSyntaxError, boolean_interpretation,
                     idempotent_power_exponent, parse_expression, parse_word,
                     repair_suggestion)

@@ -15,7 +15,7 @@ from .core import AutomatonFormatError, automaton_to_json, load_automaton
 from .expressions import format_expression
 from .monoid import (IdempotenceError, find_value1_witness, format_monoid,
                      letter_supports, markov_monoid)
-from .numerics import MODES, NonConvergenceError, estimate_limit
+from .numerics import MODES, estimate_limit
 from .omega import (ExpressionSyntaxError, boolean_interpretation,
                     parse_expression, parse_word, repair_suggestion)
 from .reduction import (PreconditionError, build_reduction,
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (AutomatonFormatError, ExpressionSyntaxError, PreconditionError,
-            NonConvergenceError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,6 +9,7 @@ width.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -21,21 +22,6 @@ class AutomatonFormatError(ValueError):
     """Raised when an automaton file violates the format contract."""
 
 
-def matrix_norm(matrix) -> float:
-    """Maximum absolute row sum.
-
-    With this orientation every row-stochastic matrix has norm exactly 1,
-    and the norm is submultiplicative.
-    """
-    if isinstance(matrix, StochasticMatrix):
-        entries = matrix.entries
-    else:
-        entries = np.asarray(matrix, dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError("matrix norm is defined for square matrices")
-    return float(np.abs(entries).sum(axis=1).max())
-
-
 class StochasticMatrix:
     """Square matrix with non-negative entries and unit row sums."""
 
@@ -45,11 +31,12 @@ class StochasticMatrix:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
-        if np.any(arr < 0.0):
-            s, t = np.argwhere(arr < 0.0)[0]
-            raise ValueError(f"negative entry {arr[s, t]!r} at ({s}, {t})")
+        # Negated tests, so that NaN fails them.
+        if not np.all(arr >= 0.0):
+            s, t = np.argwhere(~(arr >= 0.0))[0]
+            raise ValueError(f"entry {float(arr[s, t])!r} at ({s}, {t}) is negative or NaN")
         sums = arr.sum(axis=1)
-        bad = np.where(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)[0]
+        bad = np.where(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))[0]
         if bad.size:
             raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
         arr.flags.writeable = False
@@ -89,15 +76,16 @@ class StochasticMatrix:
         """Exponentiation by squaring; the exponent may be a big integer."""
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        result = np.eye(self.dim)
-        base = np.array(self._entries)
-        e = int(exponent)
+        # Start from the first power of two the exponent needs, not from I.
+        result, base, e = None, self._entries, int(exponent)
         while e:
             if e & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             e >>= 1
             if e:
                 base = base @ base
+        if result is None:
+            return StochasticMatrix.identity(self.dim)
         return StochasticMatrix._wrap(result)
 
     def __repr__(self):
@@ -212,9 +200,9 @@ class ProbabilisticAutomaton:
         initial = np.array(initial, dtype=float)
         if initial.shape != (dim,):
             raise ValueError(f"initial vector must have length {dim}")
-        if np.any(initial < 0.0):
-            raise ValueError("initial vector has a negative entry")
-        if abs(initial.sum() - 1.0) > ROW_SUM_TOLERANCE:
+        if not np.all(initial >= 0.0):
+            raise ValueError("initial vector has a negative or NaN entry")
+        if not abs(initial.sum() - 1.0) <= ROW_SUM_TOLERANCE:
             raise ValueError(f"initial vector sums to {initial.sum()!r}, expected 1")
         initial.flags.writeable = False
 
@@ -418,6 +406,13 @@ def _require(condition, message):
         raise AutomatonFormatError(message)
 
 
+def _is_number(value) -> bool:
+    # Booleans are ints to Python.  NaN, infinities and integers beyond
+    # float range fail the comparison.
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def automaton_from_json(text: str) -> ProbabilisticAutomaton:
     try:
         payload = json.loads(text)
@@ -432,10 +427,12 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
     dim = len(states)
     alphabet = payload["alphabet"]
     _require(isinstance(alphabet, list) and alphabet, "`alphabet` must be a non-empty array")
+    _require(all(isinstance(a, str) for a in alphabet), "`alphabet` entries must be strings")
 
     initial = payload["initial"]
     _require(isinstance(initial, list) and len(initial) == dim,
              f"`initial` must be an array of {dim} numbers")
+    _require(all(_is_number(v) for v in initial), "`initial` entries must be numbers")
     final = payload["final"]
     _require(isinstance(final, list) and len(final) == dim,
              f"`final` must be an array of {dim} booleans")
@@ -455,7 +452,7 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
         _require(len(rows) == dim and all(isinstance(r, list) and len(r) == dim for r in rows),
                  f"transitions for {letter!r} must form a {dim}x{dim} matrix")
         for i, row in enumerate(rows):
-            _require(all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row),
+            _require(all(_is_number(v) for v in row),
                      f"letter {letter!r}, row {i} ({states[i]!r}): entries must be numbers")
             _require(all(v >= 0 for v in row),
                      f"letter {letter!r}, row {i} ({states[i]!r}): negative entry")
@@ -479,8 +476,3 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
 def load_automaton(path) -> ProbabilisticAutomaton:
     with open(path, "r", encoding="utf-8") as handle:
         return automaton_from_json(handle.read())
-
-
-def save_automaton(automaton: ProbabilisticAutomaton, path, state_map: Mapping | None = None):
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(automaton_to_json(automaton, state_map=state_map))

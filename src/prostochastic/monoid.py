@@ -22,11 +22,10 @@ class IdempotenceError(ValueError):
         self.expression = expression
 
 
-def boolean_projection(matrix: StochasticMatrix, threshold: float = 0.0) -> BooleanMatrix:
-    """Support of a stochastic matrix: 1 exactly where the entry exceeds
-    `threshold`, by default where it is positive."""
+def boolean_projection(matrix: StochasticMatrix) -> BooleanMatrix:
+    """Support of a stochastic matrix: 1 exactly where the entry is positive."""
     return BooleanMatrix._wrap(tuple(
-        sum(1 << t for t, v in enumerate(row) if v > threshold)
+        sum(1 << t for t, v in enumerate(row) if v > 0.0)
         for row in matrix.entries.tolist()
     ), matrix.dim)
 
@@ -56,6 +55,15 @@ def boolean_product(left: BooleanMatrix, right: BooleanMatrix) -> BooleanMatrix:
 
 def is_idempotent(matrix: BooleanMatrix) -> bool:
     return boolean_product(matrix, matrix) == matrix
+
+
+def idempotent_power(matrix: BooleanMatrix) -> tuple:
+    """Least e >= 1 such that matrix^e is idempotent, and that power.  The
+    powers meet the one idempotent of their cycle before they repeat."""
+    exponent, power = 1, matrix
+    while not is_idempotent(power):
+        exponent, power = exponent + 1, boolean_product(power, matrix)
+    return exponent, power
 
 
 def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:

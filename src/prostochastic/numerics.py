@@ -16,24 +16,15 @@ from typing import Optional
 import numpy as np
 
 from .core import (Concat, Literal, Power, ProbabilisticAutomaton,
-                   StochasticMatrix, BooleanMatrix, WordSchedule, matrix_norm,
+                   StochasticMatrix, BooleanMatrix, WordSchedule,
                    schedule_acceptance_probability)
 from .expressions import Letter, Omega, OmegaExpression, Product
-from .monoid import boolean_projection, letter_supports
+from .monoid import boolean_projection, idempotent_power, letter_supports, stabilize
 from .omega import boolean_interpretation
 
-PROJECTION_EPSILON = 1e-6
-LIMIT_TOLERANCE = 1e-10
-LIMIT_MAX_STEPS = 60
 NOISE_FLOOR = 1e-13
 
 MODES = ("polynomial", "superpolynomial")
-
-
-class NonConvergenceError(RuntimeError):
-    def __init__(self, message, last_distance: float):
-        super().__init__(message)
-        self.last_distance = last_distance
 
 
 def polynomial_exponent(n: int) -> int:
@@ -61,47 +52,68 @@ def superpolynomial_exponent(n: int) -> int:
     return polynomial_exponent(threshold)
 
 
-def limit_matrix(matrix: StochasticMatrix,
-                 tolerance: float = LIMIT_TOLERANCE,
-                 max_steps: int = LIMIT_MAX_STEPS) -> StochasticMatrix:
-    """Power limit of a stochastic matrix along factorial exponents.
+def limit_matrix(matrix: StochasticMatrix) -> StochasticMatrix:
+    """Power limit of a stochastic matrix along factorial exponents, in
+    closed form.
 
-    Iterates M^(k!) by raising the previous value to the k-th power and
-    stops at the first k where successive factorial powers are closer than
-    `tolerance` in max-row-sum norm.  Convergence is exponential in the
-    exponent, so small k suffice for any spectral gap that is not
-    degenerate at machine precision.
+    With e the least exponent whose support is idempotent, P = M^e has the
+    same factorial limit (e divides k! for k >= e) and only aperiodic
+    recurrent classes.  Each limit row sums, over the classes, the row's
+    absorption probability into the class times the class's stationary
+    distribution.  Transient columns are exact zeros.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    current = matrix
-    distance = math.inf
-    for k in range(2, max_steps + 1):
-        following = current.power(k)
-        distance = matrix_norm(following.entries - current.entries)
-        if distance < tolerance:
-            return following
-        current = following
-    raise NonConvergenceError(
-        f"no convergence within {max_steps} factorial steps "
-        f"(last distance {distance:.3e})", distance)
+    exponent, support = idempotent_power(boolean_projection(matrix))
+    power = matrix.power(exponent).entries
+    stable = stabilize(support).masks
+    # A state is recurrent iff its stable row holds it; that row is then its class.
+    classes = dict.fromkeys(mask for t, mask in enumerate(stable) if mask >> t & 1)
+    members = np.array([[mask >> t & 1 for t in range(matrix.dim)] for mask in classes], bool)
+    stationary = np.zeros(members.shape)
+    for row, inside in zip(stationary, members):
+        row[inside] = _stationary(power[inside][:, inside])
+    indicator = members.T.astype(float)
+    limit = indicator @ stationary
+    transient = ~members.any(axis=0)
+    rows = power[transient]
+    limit[transient] = _absorption(np.hstack([rows[:, transient], rows @ indicator])) @ stationary
+    return StochasticMatrix._wrap(limit)
 
 
-def limit_projection(matrix: StochasticMatrix,
-                     epsilon: float = PROJECTION_EPSILON) -> BooleanMatrix:
-    """Support of a numerically computed limit.
+def _stationary(block: np.ndarray) -> np.ndarray:
+    """Stationary distribution of an irreducible stochastic matrix by
+    Grassmann-Taksar-Heyman elimination: each pivot is the eliminated
+    state's outgoing mass, so nothing is subtracted.  Overwrites `block`."""
+    for k in range(len(block) - 1, 0, -1):
+        block[:k, k] /= block[k, :k].sum()
+        block[:k, :k] += np.outer(block[:k, k], block[k, :k])
+    distribution = np.zeros(len(block))
+    distribution[0] = 1.0
+    for k in range(1, len(block)):
+        distribution[k] = distribution[:k] @ block[:k, k]
+    return distribution / distribution.sum()
 
-    Unlike the exact projection used by the monoid algorithm, entries of an
-    iterated limit may carry float dust, so positivity is tested against a
-    threshold; true limit entries are either 0 or bounded well away from it.
-    """
-    return boolean_projection(matrix, epsilon)
+
+def _absorption(augmented: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) X = R from the transient rows [Q R]: Q to transient
+    states, R into each class.  Elimination without pivoting whose pivots
+    are, as in GTH, the row's remaining outgoing mass: zeros stay exact and
+    badly scaled rows lose no accuracy.  Overwrites `augmented`."""
+    n = len(augmented)
+    for k in range(n):
+        augmented[k] /= augmented[k, k + 1:].sum()
+        augmented[k + 1:, k + 1:] += np.outer(augmented[k + 1:, k], augmented[k, k + 1:])
+    for k in range(n - 1, -1, -1):
+        augmented[k, n:] += augmented[k, k + 1:n] @ augmented[k + 1:, n:]
+    return augmented[:, n:]
+
+
+def limit_projection(matrix: StochasticMatrix) -> BooleanMatrix:
+    """Support of a limit computed by `limit_matrix`, whose zeros are exact."""
+    return boolean_projection(matrix)
 
 
 def numeric_interpretation(expr: OmegaExpression,
-                           automaton: ProbabilisticAutomaton,
-                           tolerance: float = LIMIT_TOLERANCE,
-                           max_steps: int = LIMIT_MAX_STEPS) -> StochasticMatrix:
+                           automaton: ProbabilisticAutomaton) -> StochasticMatrix:
     """Evaluate an expression to a stochastic matrix: letters map to their
     transition matrices, products to matrix products, omega to the power
     limit.  The support of the result equals the boolean interpretation.
@@ -118,7 +130,7 @@ def numeric_interpretation(expr: OmegaExpression,
         if isinstance(node, Product):
             return evaluate(node.left) @ evaluate(node.right)
         if isinstance(node, Omega):
-            return limit_matrix(evaluate(node.child), tolerance, max_steps)
+            return limit_matrix(evaluate(node.child))
         raise TypeError(f"not an omega-expression: {node!r}")
 
     return evaluate(expr)
@@ -181,9 +193,6 @@ class ConvergenceReport:
     samples: tuple
     extrapolated_limit: float
     rate_fit: Optional[RateFit]
-
-    def errors(self) -> list:
-        return [abs(s.value - self.extrapolated_limit) for s in self.samples]
 
     def iter_rows(self):
         for sample in self.samples:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .core import BooleanMatrix
 from .expressions import (Letter, Omega, OmegaExpression, Product,
                           format_expression, product_of)
-from .monoid import IdempotenceError, boolean_product, is_idempotent, stabilize
+from .monoid import IdempotenceError, boolean_product, idempotent_power, stabilize
 
 
 class ExpressionSyntaxError(ValueError):
@@ -177,19 +177,8 @@ def boolean_interpretation(expr: OmegaExpression,
 def idempotent_power_exponent(expr: OmegaExpression,
                               generators: Mapping[str, BooleanMatrix]) -> int:
     """Smallest e >= 1 such that the e-th boolean power of the expression's
-    value is idempotent; always exists because the semigroup of boolean
-    matrices is finite."""
-    matrix = boolean_interpretation(expr, generators)
-    power = matrix
-    exponent = 1
-    seen = {power}
-    while not is_idempotent(power):
-        power = boolean_product(power, matrix)
-        exponent += 1
-        if power in seen:
-            raise RuntimeError("no idempotent power found; cyclic semigroup invariant violated")
-        seen.add(power)
-    return exponent
+    value is idempotent."""
+    return idempotent_power(boolean_interpretation(expr, generators))[0]
 
 
 def repair_suggestion(expr: OmegaExpression,

@@ -151,7 +151,7 @@ def test_criterion_05_stabilization_limit_agreement(criterion):
             if not is_idempotent(support):
                 continue
             found += 1
-            limit = limit_matrix(matrix, tolerance=1e-10)
+            limit = limit_matrix(matrix)
             assert limit_projection(limit) == stabilize(support), matrix.entries
 
 

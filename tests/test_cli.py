@@ -1,9 +1,11 @@
 import json
 
+import pytest
+
 from prostochastic import automaton_from_json, automaton_to_json
 from prostochastic.cli import main
-from conftest import (coin_automaton, funnel_automaton, permutation_automaton,
-                      single_state_automaton)
+from conftest import (absorbing_automaton, coin_automaton, funnel_automaton,
+                      permutation_automaton, single_state_automaton)
 
 
 def write(tmp_path, name, automaton):
@@ -40,6 +42,20 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert "row 0" in err and "s0" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("alphabet", [["a"]]),
+        ("initial", ["1", False]),
+        ("initial", [float("nan"), 1.0]),
+    ])
+    def test_malformed_field_exit_2(self, tmp_path, capsys, field, value):
+        payload = json.loads(automaton_to_json(absorbing_automaton()))
+        payload[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: `{field}` entries must be" in captured.err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "/nonexistent/automaton.json"]) == 2

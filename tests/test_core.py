@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import random
 
@@ -9,7 +10,7 @@ from prostochastic import (AutomatonFormatError, BooleanMatrix, Concat, Literal,
                            Power, ProbabilisticAutomaton, StochasticMatrix,
                            acceptance_probability, automaton_from_json,
                            automaton_to_json, boolean_product, expand_schedule,
-                           matrix_norm, schedule_acceptance_probability)
+                           schedule_acceptance_probability)
 from conftest import absorbing_automaton, funnel_automaton, random_stochastic
 
 ABSORBING = [[0.5, 0.5], [0.0, 1.0]]
@@ -44,6 +45,10 @@ class TestStochasticMatrix:
             StochasticMatrix([[1.5, -0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="square"):
             StochasticMatrix([[1.0, 0.0]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"nan at \(0, 0\)"):
+            StochasticMatrix([[float("nan"), 0.5], [0.0, 1.0]])
 
     def test_entries_are_immutable(self):
         m = StochasticMatrix(ABSORBING)
@@ -108,25 +113,6 @@ class TestBooleanMatrix:
             BooleanMatrix(rows)
 
 
-class TestMatrixNorm:
-    def test_identity(self):
-        assert matrix_norm(StochasticMatrix.identity(3)) == 1.0
-
-    def test_every_stochastic_matrix_has_norm_one(self, rng):
-        for _ in range(100):
-            m = random_stochastic(rng, int(rng.integers(1, 6)))
-            assert abs(matrix_norm(m) - 1.0) <= 1e-12
-
-    def test_dominant_row(self):
-        assert matrix_norm(np.array([[2.0, 0.0], [0.0, 1.0]])) == 2.0
-
-    def test_submultiplicative(self, rng):
-        for _ in range(100):
-            a = rng.normal(size=(3, 3))
-            b = rng.normal(size=(3, 3))
-            assert matrix_norm(a @ b) <= matrix_norm(a) * matrix_norm(b) + 1e-12
-
-
 class TestMatrixPower:
     def test_zeroth_power_is_identity(self):
         m = StochasticMatrix(ABSORBING)
@@ -159,6 +145,22 @@ class TestMatrixPower:
         with pytest.raises(ValueError):
             StochasticMatrix.identity(2).power(-1)
 
+    def test_bit_identical_to_squaring_from_the_identity(self, rng):
+        def reference(entries, e):
+            result, base = np.eye(len(entries)), entries
+            while e:
+                if e & 1:
+                    result = result @ base
+                e >>= 1
+                if e:
+                    base = base @ base
+            return result
+
+        for _ in range(30):
+            m = random_stochastic(rng, int(rng.integers(1, 6)))
+            for e in (1, 2, 3, 7, 8, 720, int(rng.integers(1, 2 ** 40)), 3 * 2 ** 30 + 5):
+                assert np.array_equal(m.power(e).entries, reference(m.entries, e)), e
+
 
 class TestAutomaton:
     def test_single_state_accepts_everything(self):
@@ -183,6 +185,11 @@ class TestAutomaton:
     def test_initial_vector_must_be_stochastic(self):
         with pytest.raises(ValueError, match="initial"):
             ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)}, (0.6, 0.6), (True, True))
+
+    def test_initial_vector_rejects_nan(self):
+        with pytest.raises(ValueError, match="initial"):
+            ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)},
+                                   (float("nan"), 1.0), (True, True))
 
     def test_transitions_required_for_every_letter(self):
         with pytest.raises(ValueError, match="missing transition"):
@@ -296,6 +303,24 @@ class TestFileFormat:
         text = automaton_to_json(funnel, state_map={"s0": "p0"})
         loaded = automaton_from_json(text)
         assert loaded.states == funnel.states
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("alphabet", [["a"]], "`alphabet` entries must be strings"),
+        ("initial", ["1", False], "`initial` entries must be numbers"),
+        ("initial", [float("nan"), 1.0], "`initial` entries must be numbers"),
+    ])
+    def test_malformed_fields_rejected(self, field, value, message):
+        payload = json.loads(automaton_to_json(absorbing_automaton()))
+        payload[field] = value
+        with pytest.raises(AutomatonFormatError, match=message):
+            automaton_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "1" + "0" * 400],
+                             ids=["nan", "infinity", "huge-integer"])
+    def test_non_finite_transition_entry_is_not_a_number(self, entry):
+        text = automaton_to_json(absorbing_automaton()).replace("0.5", entry, 1)
+        with pytest.raises(AutomatonFormatError, match=r"row 0 \('s0'\): entries must be numbers"):
+            automaton_from_json(text)
 
     def test_not_json(self):
         with pytest.raises(AutomatonFormatError, match="JSON"):

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from prostochastic import (Concat, IdempotenceError, Literal,
-                           NonConvergenceError, Power, SamplePoint,
+from prostochastic import (Concat, IdempotenceError, Literal, Power,
+                           ProbabilisticAutomaton, SamplePoint,
                            StochasticMatrix, boolean_interpretation,
                            boolean_projection, counterexample_automaton,
                            estimate_limit,
                            expand_schedule, is_idempotent, limit_matrix,
-                           limit_projection, numeric_interpretation,
+                           limit_projection, markov_monoid, numeric_interpretation,
                            parse_expression, polynomial_exponent,
                            realize_polynomial, realize_superpolynomial,
                            schedule_acceptance_probability, stabilize,
@@ -88,21 +88,50 @@ class TestLimitMatrix:
 
     def test_limit_absorbs_further_factorial_powers(self, rng):
         # L is a fixed point of multiplication by large factorial powers of M.
-        from prostochastic import matrix_norm
         for _ in range(10):
             m = random_stochastic(rng, 3)
             limit = limit_matrix(m)
             residual = (limit @ m.power(polynomial_exponent(5040))).entries
-            assert matrix_norm(limit.entries - residual) <= 1e-8
+            assert np.abs(limit.entries - residual).sum(axis=1).max() <= 1e-8
 
-    def test_non_convergence_reports_distance(self):
-        with pytest.raises(NonConvergenceError) as excinfo:
-            limit_matrix(ABSORBING, tolerance=1e-300, max_steps=5)
-        assert excinfo.value.last_distance > 0.0
+    @pytest.mark.parametrize("eps", [10.0 ** -k for k in range(3, 15)])
+    def test_slow_leak_is_exact(self, eps):
+        # Successive factorial powers of this matrix differ by less than any
+        # fixed tolerance long before the mass has left state 0.
+        limit = limit_matrix(StochasticMatrix([[1.0 - eps, eps], [0.0, 1.0]]))
+        assert limit_projection(limit).bitstring() == "0101"
+        assert np.all(np.abs(limit.entries.sum(axis=1) - 1.0) <= 1e-15)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            limit_matrix(ABSORBING, tolerance=0.0)
+    def test_badly_scaled_rows_keep_exact_values_and_zeros(self):
+        # State 2 leaks 1e-7 per step into class {0} and can never reach
+        # class {1}; state 3 reaches both.  A pivoting solve mixes the two
+        # rows and leaves about 1e-11 in entry (2, 1).
+        m = StochasticMatrix([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                              [1e-7, 0.0, 1.0 - 1e-7, 0.0], [0.01, 0.98999, 1e-5, 0.0]])
+        limit = limit_matrix(m)
+        assert limit_projection(limit).bitstring() == "1000" "0100" "1000" "1100"
+        expected = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                    [1.0, 0.0, 0.0, 0.0], [0.01001, 0.98999, 0.0, 0.0]]
+        assert np.all(np.abs(limit.entries - expected) <= 1e-15)
+
+    @pytest.mark.parametrize("rows,expected", [
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], np.eye(3)),
+        # Period two, with classes {0, 2} and {1} in the square.
+        ([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], [[0.5, 0, 0.5], [0, 1, 0], [0.5, 0, 0.5]]),
+    ], ids=["three-cycle", "period-two-chain"])
+    def test_periodic_limit_is_exact(self, rows, expected):
+        assert np.array_equal(limit_matrix(StochasticMatrix(rows)).entries, expected)
+
+    def test_limit_commutes_with_and_absorbs_the_matrix(self, rng):
+        found = 0
+        while found < 60:
+            m = random_stochastic(rng, int(rng.integers(2, 6)))
+            if not is_idempotent(boolean_projection(m)):
+                continue
+            found += 1
+            limit = limit_matrix(m)
+            assert np.all(np.abs((limit @ m).entries - limit.entries) <= 1e-14)
+            assert np.all(np.abs((m @ limit).entries - limit.entries) <= 1e-14)
 
 
 class TestNumericInterpretation:
@@ -135,6 +164,34 @@ class TestNumericInterpretation:
                 checked += 1
                 assert limit_projection(numeric_interpretation(expr, automaton)) == expected
         assert checked >= 40
+
+
+class TestMonoidElementsAreLimitSupports:
+    """The paper's characterization: every element of the Markov monoid is
+    the support of the limit of its witness expression."""
+
+    SLOW = 1e-12
+
+    def automaton(self, rng, n_states):
+        # Two random letters plus a slow leak from state 0 into state 1.
+        base = random_quarter_automaton(rng, n_states)
+        slow = np.eye(n_states)
+        slow[0, :2] = (1.0 - self.SLOW, self.SLOW)
+        transitions = {a: base.transition(a) for a in base.alphabet}
+        transitions["c"] = slow
+        return ProbabilisticAutomaton(base.states, ("a", "b", "c"), transitions,
+                                      base.initial, base.final)
+
+    def test_every_element_is_its_witness_limit_support(self, rng):
+        checked = 0
+        for index in range(24):
+            automaton = self.automaton(rng, 2 + index % 3)
+            for element in markov_monoid(automaton):
+                numeric = numeric_interpretation(element.witness, automaton)
+                assert limit_projection(numeric) == element.matrix, element.witness
+                assert np.all(np.abs(numeric.entries.sum(axis=1) - 1.0) <= 1e-12)
+                checked += 1
+        assert checked >= 300
 
 
 class TestRealization:

@@ -122,7 +122,7 @@ class TestBooleanInterpretation:
             boolean_interpretation(Letter("z"), {"a": UPPER})
 
     def test_one_idempotence_test_per_omega_node(self, monkeypatch):
-        from prostochastic import monoid, omega
+        from prostochastic import monoid
         automaton = counterexample_automaton(0.9)
         calls = []
         original = monoid.is_idempotent
@@ -132,7 +132,6 @@ class TestBooleanInterpretation:
             return original(matrix)
 
         monkeypatch.setattr(monoid, "is_idempotent", counting)
-        monkeypatch.setattr(omega, "is_idempotent", counting)
         boolean_interpretation(parse_expression("(b a^w)^w", automaton.alphabet),
                                letter_supports(automaton))
         assert len(calls) == 2
