@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 
-from .core import AutomatonFormatError, automaton_to_json, load_automaton
-from .expressions import format_expression
+from .core import automaton_to_json, load_automaton
+from .expressions import Letter, Omega, Product, format_expression
 from .monoid import (IdempotenceError, find_value1_witness, format_monoid,
                      letter_supports, markov_monoid)
 from .numerics import MODES, estimate_limit
-from .omega import (ExpressionSyntaxError, boolean_interpretation,
-                    parse_expression, parse_word, repair_suggestion)
-from .reduction import (PreconditionError, build_reduction,
-                        counterexample_automaton, verify_reduction)
+from .omega import boolean_interpretation, parse_expression, parse_word, repair_suggestion
+from .reduction import build_reduction, counterexample_automaton, verify_reduction
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -52,10 +51,10 @@ def cmd_analyze(args) -> int:
 def cmd_monoid(args) -> int:
     automaton = load_automaton(args.automaton)
     monoid = markov_monoid(automaton)
-    letters = len(monoid) - monoid.product_count - monoid.stabilization_count
+    kinds = Counter(type(element.witness) for element in monoid)
     print(f"elements: {len(monoid)}")
-    print(f"letters: {letters} products: {monoid.product_count} "
-          f"stabilizations: {monoid.stabilization_count}")
+    print(f"letters: {kinds[Letter]} products: {kinds[Product]} "
+          f"stabilizations: {kinds[Omega]}")
     print(format_monoid(monoid))
     return EXIT_YES
 
@@ -151,9 +150,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AutomatonFormatError, ExpressionSyntaxError, PreconditionError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        # The expression tree walkers recurse once per nesting level.
+        print("error: expression nests too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -102,8 +102,6 @@ class MonoidElement:
 class MarkovMonoid:
     elements: tuple
     generators: Mapping[str, BooleanMatrix]
-    product_count: int
-    stabilization_count: int
 
     def matrices(self) -> frozenset:
         return frozenset(element.matrix for element in self.elements)
@@ -115,9 +113,9 @@ class MarkovMonoid:
         return iter(self.elements)
 
 
-def _saturate(automaton: ProbabilisticAutomaton, stabilizing: bool):
+def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> list:
     """Right Cayley-graph closure of the letter supports (Froidure-Pin);
-    returns the supports, the elements and the generators.
+    returns the elements.
 
     Each element, in discovery order, is multiplied on the right by each
     generator exactly once.  The generators are the distinct letter supports
@@ -126,7 +124,6 @@ def _saturate(automaton: ProbabilisticAutomaton, stabilizing: bool):
     Every element is a generator or an element times a generator, so the
     result is closed under product.
     """
-    supports = letter_supports(automaton)
     elements: list[MonoidElement] = []
     seen = set()
 
@@ -158,15 +155,15 @@ def _saturate(automaton: ProbabilisticAutomaton, stabilizing: bool):
                 for earlier in elements[:processed]:
                     multiply(earlier, stable)
                 generators.append(stable)
-    return supports, elements, generators
+    return elements
 
 
 def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
     """All supports reachable by finite words: the closure of the letter
     projections under boolean product, in discovery order (the letters,
     then each element times each letter)."""
-    _, elements, _ = _saturate(automaton, stabilizing=False)
-    return tuple(element.matrix for element in elements)
+    return tuple(element.matrix
+                 for element in _saturate(letter_supports(automaton), stabilizing=False))
 
 
 def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
@@ -178,10 +175,8 @@ def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
     order, then each element in turn times each generator (the letters, then
     new stabilizations as found) and, if idempotent, its stabilization.
     """
-    supports, elements, generators = _saturate(automaton, stabilizing=True)
-    letters = len(set(supports.values()))
-    return MarkovMonoid(tuple(elements), supports, len(elements) - len(generators),
-                        len(generators) - letters)
+    supports = letter_supports(automaton)
+    return MarkovMonoid(tuple(_saturate(supports, stabilizing=True)), supports)
 
 
 def _value1_test(automaton: ProbabilisticAutomaton):

@@ -11,14 +11,12 @@ depends on whether x exceeds 1/2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Concat, Literal, Power, ProbabilisticAutomaton,
-                   ROW_SUM_TOLERANCE, StochasticMatrix, acceptance_probability,
-                   schedule_acceptance_probability)
+from .core import (Concat, Literal, Power, ProbabilisticAutomaton, StochasticMatrix,
+                   acceptance_probability, schedule_acceptance_probability)
 from .numerics import (ConvergenceReport, SamplePoint, build_report,
                        polynomial_exponent, superpolynomial_exponent)
 
@@ -80,7 +78,8 @@ def build_reduction(automaton: ProbabilisticAutomaton) -> ReductionOutput:
     and the rejecting sink bot.
     """
     support = automaton.initial_support()
-    if len(support) != 1 or abs(automaton.initial[support[0]] - 1.0) > ROW_SUM_TOLERANCE:
+    # The constructor holds the initial mass to 1: one supported state has it all.
+    if len(support) != 1:
         raise PreconditionError("initial distribution must be a unit vector")
     q0 = support[0]
     for letter in automaton.alphabet:
@@ -104,31 +103,24 @@ def build_reduction(automaton: ProbabilisticAutomaton) -> ReductionOutput:
         raise PreconditionError("state names collide with the reduction naming scheme")
 
     n = len(states)
-    p0 = 0
+    p0, qf, bot = 0, n - 2, n - 1
     left = lambda q: 1 + q
     right = lambda q: 1 + d + q
-    qf = n - 2
-    bot = n - 1
 
-    def blank():
-        return np.zeros((n, n))
+    # Every letter's matrix starts from this template: p0, qF and bot loop.
+    loops = np.zeros((n, n))
+    loops[[p0, qf, bot], [p0, qf, bot]] = 1.0
 
     transitions = {}
     for letter in automaton.alphabet:
-        m = blank()
-        m[p0, p0] = 1.0
+        m = transitions[letter] = loops.copy()
         source = automaton.transition(letter).entries
-        for s in range(d):
-            for t in range(d):
-                m[left(s), left(t)] = source[s, t]
-                m[right(s), right(t)] = source[s, t]
-        m[qf, qf] = 1.0
-        m[bot, bot] = 1.0
-        transitions[letter] = m
+        m[left(0):left(d), left(0):left(d)] = source
+        m[right(0):right(d), right(0):right(d)] = source
 
-    check = blank()
-    check[p0, left(q0)] = 0.5
-    check[p0, right(q0)] = 0.5
+    check = loops.copy()
+    check[p0, p0] = 0.0     # p0 splits between the copies instead of looping
+    check[p0, left(q0)] = check[p0, right(q0)] = 0.5
     for q in range(d):
         if q == q0:
             check[left(q), qf] = 1.0
@@ -139,12 +131,9 @@ def build_reduction(automaton: ProbabilisticAutomaton) -> ReductionOutput:
             # stray words from gaining acceptance probability.
             check[left(q), bot] = 1.0
             check[right(q), bot] = 1.0
-    check[qf, qf] = 1.0
-    check[bot, bot] = 1.0
     transitions[CHECK] = check
 
-    end = blank()
-    end[p0, p0] = 1.0
+    end = loops.copy()
     for q in range(d):
         if automaton.final[q]:
             end[left(q), left(q0)] = 1.0
@@ -152,8 +141,6 @@ def build_reduction(automaton: ProbabilisticAutomaton) -> ReductionOutput:
         else:
             end[left(q), p0] = 1.0
             end[right(q), right(q0)] = 1.0
-    end[qf, qf] = 1.0
-    end[bot, bot] = 1.0
     transitions[END] = end
 
     initial = np.zeros(n)
@@ -169,7 +156,7 @@ def build_reduction(automaton: ProbabilisticAutomaton) -> ReductionOutput:
         final=final,
     )
     state_map = {"p0": "p0", "qF": "qF", "bot": "bot"}
-    for q, name in enumerate(base_states):
+    for name in base_states:
         state_map[f"{name}:L"] = (name, "L")
         state_map[f"{name}:R"] = (name, "R")
     return ReductionOutput(built, state_map)
@@ -189,18 +176,11 @@ def round_acceptance(p_win: float, p_lose: float, rounds: int) -> float:
         raise ValueError("round probabilities must satisfy 0 <= p_lose and p_win + p_lose <= 1")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    base = 1.0 - (p_win + p_lose)
+    base = max(1.0 - (p_win + p_lose), 0.0)
     exponent = rounds - 1
-    if exponent == 0:
-        tail = 1.0
-    elif base <= 0.0:
-        tail = 0.0
-    elif exponent.bit_length() > 1020:
-        tail = 0.0
-    elif exponent * math.log(base) < -745.0:
-        tail = 0.0
-    else:
-        tail = base ** exponent
+    # Float powers underflow to 0 by themselves; only an exponent beyond
+    # float range needs catching.
+    tail = 0.0 if exponent.bit_length() > 1020 else base ** exponent
     return (1.0 / (1.0 + p_lose / p_win)) * (1.0 - tail)
 
 

@@ -76,6 +76,12 @@ class TestMonoid:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "elements: 2"
 
+    def test_counterexample_header(self, tmp_path, capsys):
+        assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
+        assert main(["monoid", str(tmp_path / "cx.json")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["elements: 18", "letters: 2 products: 15 stabilizations: 1"]
+
 
 class TestSimulate:
     def test_superpolynomial_trajectory_climbs(self, tmp_path, capsys):
@@ -104,6 +110,14 @@ class TestSimulate:
         path = write(tmp_path, "perm.json", permutation_automaton())
         assert main(["simulate", path, "-e", "(a"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_deeply_nested_expression_exit_2(self, tmp_path, capsys):
+        # a^500 is a chain of 500 nested products.
+        assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
+        assert main(["simulate", str(tmp_path / "cx.json"), "-e", "a^500", "-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expression nests too deeply\n"
 
 
 class TestRepeatedCalls:

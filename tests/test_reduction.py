@@ -107,6 +107,34 @@ class TestBuildReduction:
             assert np.allclose(loaded.transition(letter).entries,
                                built.automaton.transition(letter).entries)
 
+    def test_letters_copied_unchanged_and_sinks_loop(self, rng):
+        for _ in range(12):
+            d = int(rng.integers(1, 6))
+            q0 = int(rng.integers(d))
+            transitions = {}
+            for letter in ("a", "b"):
+                raw = rng.random((d, d)) * (rng.random((d, d)) < 0.6) + 0.05 * np.eye(d)
+                raw[np.arange(d) != q0, q0] = 0.0
+                transitions[letter] = raw / raw.sum(axis=1, keepdims=True)
+            automaton = ProbabilisticAutomaton(
+                [f"s{q}" for q in range(d)], ("a", "b"), transitions,
+                np.eye(d)[q0], [bool(v) for v in rng.random(d) < 0.5])
+            built = build_reduction(automaton).automaton
+            index = built.states.index
+            p0, qf, bot = index("p0"), index("qF"), index("bot")
+            for side in ("L", "R"):
+                copy = [index(f"s{q}:{side}") for q in range(d)]
+                for letter in automaton.alphabet:
+                    block = built.transition(letter).entries[np.ix_(copy, copy)]
+                    assert np.array_equal(block, automaton.transition(letter).entries)
+            for letter in built.alphabet:
+                entries = built.transition(letter).entries
+                assert entries[qf, qf] == entries[bot, bot] == 1.0
+                assert entries[p0, p0] == (0.0 if letter == CHECK else 1.0)
+            split = np.zeros(built.dim)
+            split[[index(f"s{q0}:L"), index(f"s{q0}:R")]] = 0.5
+            assert np.array_equal(built.transition(CHECK).entries[p0], split)
+
     def test_requires_unit_initial_vector(self):
         automaton = ProbabilisticAutomaton(
             ("s", "t"), ("a",), {"a": [[0.0, 1.0], [0.0, 1.0]]},
@@ -161,6 +189,34 @@ class TestRoundAcceptance:
 
     def test_astronomical_round_counts_underflow_cleanly(self):
         assert round_acceptance(0.3, 0.1, 10 ** 400) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("p_win,p_lose,rounds,expected", [
+        (0.3, 0.1, 1, "0x0.0p+0"),
+        (0.3, 0.1, 2, "0x1.3333333333333p-2"),
+        (0.3, 0.1, 2 ** 1019, "0x1.7ffffffffffffp-1"),
+        (0.3, 0.1, 2 ** 1021, "0x1.7ffffffffffffp-1"),
+        (0.3, 0.1, 2 ** 5000, "0x1.7ffffffffffffp-1"),
+        (0.1, 1e-07, 2, "0x1.999999999999dp-4"),
+        (0.1, 1e-07, 2 ** 1019, "0x1.ffffde7212f19p-1"),
+        (0.1, 1e-07, 2 ** 1021, "0x1.ffffde7212f19p-1"),
+        (1e-17, 0.0, 2 ** 1019, "0x0.0p+0"),
+        (1e-17, 0.0, 2 ** 1021, "0x1.0000000000000p+0"),
+        # p_win + p_lose = 1
+        (0.25, 0.75, 1, "0x0.0p+0"),
+        (0.25, 0.75, 2, "0x1.0000000000000p-2"),
+        (0.25, 0.75, 7, "0x1.0000000000000p-2"),
+        # p_win + p_lose = 1 + 5e-13, inside the tolerance
+        (0.5, 0.5 + 5e-13, 1, "0x0.0p+0"),
+        (0.5, 0.5 + 5e-13, 2, "0x1.fffffffffee68p-2"),
+        (0.5, 0.5 + 5e-13, 9, "0x1.fffffffffee68p-2"),
+        # 0.6 ** 36 is normal, 0.6 ** 1396 subnormal, 0.6 ** 1999 underflows
+        (0.3, 0.1, 37, "0x1.7fffffbd8cc14p-1"),
+        (0.3, 0.1, 1397, "0x1.7ffffffffffffp-1"),
+        (0.3, 0.1, 2000, "0x1.7ffffffffffffp-1"),
+        (1e-3, 1e-3, 400000, "0x1.0000000000000p-1"),
+    ])
+    def test_exact_bits(self, p_win, p_lose, rounds, expected):
+        assert round_acceptance(p_win, p_lose, rounds).hex() == expected
 
 
 class TestRoundSchedule:
