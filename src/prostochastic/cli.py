@@ -80,7 +80,7 @@ def cmd_reduce(args) -> int:
     _emit(automaton_to_json(reduction.automaton, state_map=reduction.state_map), args.output)
     if args.word is not None:
         word = parse_word(args.word, automaton.alphabet)
-        report = verify_reduction(automaton, word, n_max=args.n_max)
+        report = verify_reduction(automaton, word, n_max=args.n_max, reduction=reduction)
         print(report.render_text(), file=sys.stderr)
     return EXIT_YES
 

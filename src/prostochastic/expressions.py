@@ -51,24 +51,43 @@ def expression_depth(expr: OmegaExpression) -> int:
     raise TypeError(f"not an omega-expression: {expr!r}")
 
 
-def format_expression(expr: OmegaExpression) -> str:
+def format_expression(expr: OmegaExpression, memo: dict | None = None) -> str:
     """Render an expression in the concrete syntax accepted by the parser.
 
     Products are space-separated and left-associative, so only a
     right-nested product needs parentheses; `^w` binds tighter than the
     product and stacks (``a^w^w``).
+
+    The tree is walked with an explicit stack, so depth is not limited by
+    recursion.  `memo` maps ``id(node)`` to its text; a caller formatting
+    several expressions that share subtrees, all alive meanwhile, may pass
+    one dict to all calls.
     """
-    if isinstance(expr, Letter):
-        return expr.token
-    if isinstance(expr, Omega):
-        inner = format_expression(expr.child)
-        if isinstance(expr.child, Product):
-            inner = f"({inner})"
-        return f"{inner}^w"
-    if isinstance(expr, Product):
-        left = format_expression(expr.left)
-        right = format_expression(expr.right)
-        if isinstance(expr.right, Product):
-            right = f"({right})"
-        return f"{left} {right}"
-    raise TypeError(f"not an omega-expression: {expr!r}")
+    if memo is None:
+        memo = {}
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if id(node) in memo:
+            continue
+        if isinstance(node, Letter):
+            memo[id(node)] = node.token
+        elif isinstance(node, Product):
+            left, right = memo.get(id(node.left)), memo.get(id(node.right))
+            if left is None or right is None:
+                stack += (node, node.right, node.left)   # again after its operands
+            elif isinstance(node.right, Product):
+                memo[id(node)] = f"{left} ({right})"
+            else:
+                memo[id(node)] = f"{left} {right}"
+        elif isinstance(node, Omega):
+            inner = memo.get(id(node.child))
+            if inner is None:
+                stack += (node, node.child)
+            elif isinstance(node.child, Product):
+                memo[id(node)] = f"({inner})^w"
+            else:
+                memo[id(node)] = f"{inner}^w"
+        else:
+            raise TypeError(f"not an omega-expression: {node!r}")
+    return memo[id(expr)]

@@ -201,7 +201,10 @@ def find_value1_witness(monoid: MarkovMonoid,
 
 def format_monoid(monoid: MarkovMonoid) -> str:
     """One line per element: row-major bitstring, then the witness expression."""
+    # Witnesses share their subtrees (an element's witness is built from its
+    # parent's), so each node is rendered once for all of them.
+    texts = {}
     return "\n".join(
-        f"{element.matrix.bitstring()} {format_expression(element.witness)}"
+        f"{element.matrix.bitstring()} {format_expression(element.witness, texts)}"
         for element in monoid.elements
     )

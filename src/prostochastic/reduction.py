@@ -207,19 +207,21 @@ def round_probability_by_matrix(reduction: ReductionOutput, word, k: int, rounds
     return schedule_acceptance_probability(reduction.automaton, schedule, memo)
 
 
-def verify_reduction(automaton: ProbabilisticAutomaton, word,
-                     n_max: int = 8) -> ConvergenceReport:
+def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
+                     reduction: ReductionOutput | None = None) -> ConvergenceReport:
     """Cross-check the construction along the round schedule.
 
     For every index the report carries the acceptance probability computed
     on the built automaton (value) and by the closed round formula
     (reference); the two must agree up to float error, and the trajectory
     climbs to 1 exactly when the word's acceptance probability on the input
-    automaton exceeds 1/2.
+    automaton exceeds 1/2.  `reduction` is the automaton's reduction when
+    the caller has already built it.
     """
     word = tuple(word)
     x = acceptance_probability(automaton, word)
-    reduction = build_reduction(automaton)
+    if reduction is None:
+        reduction = build_reduction(automaton)
     memo = {}   # consecutive n mostly share k and so the round sub-schedule
     samples = []
     for n in range(1, n_max + 1):

@@ -134,12 +134,48 @@ def power_exponents(monkeypatch):
     exponents = []
     original = StochasticMatrix.power
 
-    def counting(self, exponent):
+    def counting(self, exponent, squares=None):
         exponents.append(exponent)
-        return original(self, exponent)
+        return original(self, exponent, squares)
 
     monkeypatch.setattr(StochasticMatrix, "power", counting)
     return exponents
+
+
+class _SquaringCounter:
+    """Stands in for numpy inside `core`, counting the products of an array
+    with itself."""
+
+    def __init__(self):
+        self.squarings = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, left, right):
+        self.squarings += left is right
+        return np.dot(left, right)
+
+
+@pytest.fixture
+def matrix_squarings(monkeypatch):
+    """Counter of the matrix squarings `core` performs during the test; read
+    its `squarings` attribute."""
+    from prostochastic import core
+
+    counter = _SquaringCounter()
+    monkeypatch.setattr(core, "np", counter)
+    return counter
+
+
+def squaring_chain_lengths(schedules):
+    """Squarings needed by the `Power` nodes of `schedules` when each base
+    keeps one chain: per distinct base, the largest exponent's bit length
+    minus 1."""
+    largest = {}
+    for node in set().union(*(power_nodes(schedule) for schedule in schedules)):
+        largest[node.child] = max(largest.get(node.child, 0), node.exponent)
+    return sum(exponent.bit_length() - 1 for exponent in largest.values())
 
 
 @pytest.fixture

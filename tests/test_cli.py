@@ -57,6 +57,21 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: `{field}` entries must be" in captured.err
 
+    def test_witness_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # One letter cycles 1,200 states; only the 1,199th power reaches the
+        # final state from the initial one.
+        n = 1200
+        cycle = [[1 if t == (s + 1) % n else 0 for t in range(n)] for s in range(n)]
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "states": [f"s{i}" for i in range(n)], "alphabet": ["a"],
+            "initial": [1] + [0] * (n - 1), "final": [False] * (n - 1) + [True],
+            "transitions": {"a": cycle}}))
+        assert main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "YES\nwitness: " + " ".join(["a"] * (n - 1)) + "\n"
+        assert captured.err == ""
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "/nonexistent/automaton.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -173,6 +188,23 @@ class TestReduce:
         assert captured.out == ""
         assert "reference" in captured.err
         assert "extrapolated limit:" in captured.err
+
+    def test_verification_builds_the_reduction_once(self, tmp_path, capsys, monkeypatch):
+        import prostochastic.cli as cli_module
+        import prostochastic.reduction as reduction_module
+
+        built = []
+        original = reduction_module.build_reduction
+
+        def counting(automaton):
+            built.append(automaton)
+            return original(automaton)
+
+        monkeypatch.setattr(cli_module, "build_reduction", counting)
+        monkeypatch.setattr(reduction_module, "build_reduction", counting)
+        path = write(tmp_path, "coin.json", coin_automaton(0.8))
+        assert main(["reduce", path, "-w", "a", "-n", "4"]) == 0
+        assert len(built) == 1
 
     def test_precondition_failure_exit_2(self, tmp_path, capsys):
         bad = coin_automaton(0.8)

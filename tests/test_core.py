@@ -161,6 +161,34 @@ class TestMatrixPower:
             for e in (1, 2, 3, 7, 8, 720, int(rng.integers(1, 2 ** 40)), 3 * 2 ** 30 + 5):
                 assert np.array_equal(m.power(e).entries, reference(m.entries, e)), e
 
+    def test_shared_chain_bit_identical_to_plain_squaring(self, rng):
+        # Starts from the first power of two the exponent needs: from the
+        # identity, an entry that overflowed to inf would turn into NaN.
+        def reference(entries, e):
+            result, base = None, entries
+            while e:
+                if e & 1:
+                    result = base if result is None else result @ base
+                e >>= 1
+                if e:
+                    base = base @ base
+            return result
+
+        shuffler = random.Random(8)
+        for dim in range(1, 10):
+            for _ in range(4):
+                m = random_stochastic(rng, dim)
+                exponents = [1, 2, 3, 7, 8, 720, int(rng.integers(1, 2 ** 40)), 3 * 2 ** 30 + 5,
+                             shuffler.getrandbits(395), 2 ** 395 - 1, 2 ** 395]
+                shuffler.shuffle(exponents)
+                squares = []    # one chain for every exponent, called in shuffled order
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for e in exponents:
+                        expected = reference(m.entries, e).tobytes()
+                        assert m.power(e).entries.tobytes() == expected, (dim, e)
+                        assert m.power(e, squares).entries.tobytes() == expected, (dim, e)
+                assert len(squares) == 396
+
 
 class TestAutomaton:
     def test_single_state_accepts_everything(self):

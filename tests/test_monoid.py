@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import prostochastic.monoid as monoid_module
 from prostochastic import (BooleanMatrix, IdempotenceError, Letter, Omega,
+                           MarkovMonoid, MonoidElement,
                            ProbabilisticAutomaton, Product, StochasticMatrix,
                            boolean_interpretation, boolean_product,
                            boolean_projection, build_reduction,
@@ -357,6 +358,22 @@ class TestMonoidDump:
         lines = format_monoid(markov_monoid(absorbing)).splitlines()
         assert lines[0] == "1101 a"
         assert lines[1] == "0101 a^w"
+
+    def test_deep_shared_witnesses(self):
+        # Each witness extends the previous one, as saturation builds them,
+        # and nests deeper than the interpreter's default recursion limit.
+        elements, witness = [], Letter("a")
+        for _ in range(1500):
+            elements.append(MonoidElement(BooleanMatrix.identity(1), witness))
+            witness = Product(witness, Letter("a"))
+        lines = format_monoid(MarkovMonoid(tuple(elements), {})).splitlines()
+        assert lines == ["1 " + " ".join(["a"] * k) for k in range(1, 1501)]
+
+    def test_same_text_as_formatting_each_witness(self):
+        monoid = markov_monoid(build_reduction(coin_automaton(0.7)).automaton)
+        assert format_monoid(monoid) == "\n".join(
+            f"{element.matrix.bitstring()} {format_expression(element.witness)}"
+            for element in monoid)
 
 
 def deterministic_pair_automaton():

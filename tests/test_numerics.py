@@ -14,6 +14,7 @@ from prostochastic import (Concat, IdempotenceError, Literal, Power,
                            superpolynomial_exponent)
 from prostochastic.numerics import build_report
 from conftest import (absorbing_automaton, funnel_automaton, power_nodes,
+                      squaring_chain_lengths,
                       random_quarter_automaton, random_stochastic,
                       single_state_automaton)
 
@@ -304,6 +305,13 @@ class TestSweepMemo:
         distinct = set().union(*(power_nodes(realize_superpolynomial(expr, n))
                                  for n in range(1, 41)))
         assert sorted(power_exponents) == sorted(node.exponent for node in distinct)
+
+    def test_one_squaring_chain_per_distinct_base(self, matrix_squarings):
+        automaton = counterexample_automaton(0.9)
+        expr = parse_expression("(b a^w)^w", automaton.alphabet)
+        estimate_limit(automaton, expr, "superpolynomial", 40)
+        expected = squaring_chain_lengths(realize_superpolynomial(expr, n) for n in range(1, 41))
+        assert matrix_squarings.squarings == expected == 1112
 
     @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
                                               ("superpolynomial", realize_superpolynomial)])

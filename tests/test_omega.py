@@ -8,7 +8,7 @@ from prostochastic import (BooleanMatrix, ExpressionSyntaxError,
                            expression_depth, format_expression,
                            counterexample_automaton, idempotent_power_exponent,
                            letter_supports, parse_expression, parse_word,
-                           repair_suggestion)
+                           product_of, repair_suggestion)
 
 AB = ("a", "b")
 
@@ -92,6 +92,41 @@ class TestParser:
     @settings(max_examples=150)
     def test_round_trip_multicharacter(self, expr):
         assert parse_expression(format_expression(expr), ("check", "end", "a")) == expr
+
+
+class TestDeepFormatting:
+    """Formatting walks the tree without recursion."""
+
+    DEPTH = 5000
+
+    def test_left_nested_product(self):
+        expr = product_of(Letter("a") for _ in range(self.DEPTH))
+        assert format_expression(expr) == " ".join(["a"] * self.DEPTH)
+
+    def test_omega_stack(self):
+        expr = Letter("a")
+        for _ in range(self.DEPTH):
+            expr = Omega(expr)
+        assert format_expression(expr) == "a" + "^w" * self.DEPTH
+
+    def test_right_nested_product(self):
+        expr = Letter("a")
+        for _ in range(self.DEPTH):
+            expr = Product(Letter("b"), expr)
+        assert format_expression(expr) == "b (" * (self.DEPTH - 1) + "b a" + ")" * (self.DEPTH - 1)
+
+    def test_shared_memo_matches_fresh_calls(self):
+        a, b = Letter("a"), Letter("b")
+        loop = Omega(Product(b, a))
+        exprs = [loop, Product(loop, Product(a, b)), Omega(Omega(loop)), Product(a, loop)]
+        texts = {}
+        assert [format_expression(e, texts) for e in exprs] == \
+            [format_expression(e) for e in exprs] == \
+            ["(b a)^w", "(b a)^w (a b)", "(b a)^w^w^w", "a (b a)^w"]
+
+    def test_rejects_non_expressions(self):
+        with pytest.raises(TypeError, match="not an omega-expression"):
+            format_expression(Product(Letter("a"), "b"))
 
 
 class TestDepth:

@@ -13,7 +13,7 @@ from prostochastic import (Concat, Literal, Power, PreconditionError,
 from prostochastic.numerics import polynomial_exponent, superpolynomial_exponent
 from prostochastic.reduction import CHECK, END
 from conftest import (coin_automaton, direct_round_sum, funnel_automaton,
-                      power_nodes, single_state_automaton)
+                      power_nodes, single_state_automaton, squaring_chain_lengths)
 
 
 class TestCounterexampleAutomaton:
@@ -281,6 +281,11 @@ class TestVerifySweepMemo:
         verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
         distinct = set().union(*(power_nodes(schedule) for _, schedule in self.round_schedules()))
         assert sorted(power_exponents) == sorted(node.exponent for node in distinct)
+
+    def test_one_squaring_chain_per_distinct_base(self, matrix_squarings):
+        verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        expected = squaring_chain_lengths(schedule for _, schedule in self.round_schedules())
+        assert matrix_squarings.squarings == expected == 197
 
     @pytest.mark.parametrize("x", [0.4, 0.7])
     def test_samples_equal_single_schedule_values(self, x):
