@@ -9,6 +9,7 @@ width.
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -421,11 +422,19 @@ def _require(condition, message):
         raise AutomatonFormatError(message)
 
 
-def _is_number(value) -> bool:
-    # Booleans are ints to Python.  NaN, infinities and integers beyond
-    # float range fail the comparison.
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _all_numbers(values: list) -> bool:
+    # Built-in passes only, no Python call per entry.  Booleans are ints to
+    # Python but not by type.  NaN is the one value unequal to itself, and
+    # min and max skip it or not depending on its position, so it is tested
+    # first.  The bounds then reject infinities and integers beyond float
+    # range (ints and floats compare exactly).
+    return (set(map(type, values)) <= _NUMBER_TYPES
+            and not any(map(operator.ne, values, values))
+            and -sys.float_info.max <= min(values, default=0)
+            and max(values, default=0) <= sys.float_info.max)
 
 
 def automaton_from_json(text: str) -> ProbabilisticAutomaton:
@@ -447,7 +456,7 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
     initial = payload["initial"]
     _require(isinstance(initial, list) and len(initial) == dim,
              f"`initial` must be an array of {dim} numbers")
-    _require(all(_is_number(v) for v in initial), "`initial` entries must be numbers")
+    _require(_all_numbers(initial), "`initial` entries must be numbers")
     final = payload["final"]
     _require(isinstance(final, list) and len(final) == dim,
              f"`final` must be an array of {dim} booleans")
@@ -467,13 +476,15 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
         _require(len(rows) == dim and all(isinstance(r, list) and len(r) == dim for r in rows),
                  f"transitions for {letter!r} must form a {dim}x{dim} matrix")
         for i, row in enumerate(rows):
-            _require(all(_is_number(v) for v in row),
-                     f"letter {letter!r}, row {i} ({states[i]!r}): entries must be numbers")
-            _require(all(v >= 0 for v in row),
-                     f"letter {letter!r}, row {i} ({states[i]!r}): negative entry")
-            total = sum(row)
-            _require(abs(total - 1.0) <= ROW_SUM_TOLERANCE,
-                     f"letter {letter!r}, row {i} ({states[i]!r}): sums to {total!r}, expected 1")
+            problem = None
+            if not _all_numbers(row):
+                problem = "entries must be numbers"
+            elif min(row) < 0:
+                problem = "negative entry"
+            elif not abs(sum(row) - 1.0) <= ROW_SUM_TOLERANCE:
+                problem = f"sums to {sum(row)!r}, expected 1"
+            if problem:
+                raise AutomatonFormatError(f"letter {letter!r}, row {i} ({states[i]!r}): {problem}")
         transitions[letter] = StochasticMatrix._wrap(rows)
 
     try:

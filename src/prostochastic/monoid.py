@@ -7,6 +7,7 @@ stabilization, saturation) is computed symbolically, never from floats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -36,25 +37,53 @@ def letter_supports(automaton: ProbabilisticAutomaton) -> dict:
             for letter in automaton.alphabet}
 
 
+def _or_rows(mask: int, rows: tuple) -> int:
+    """OR of `rows[k]` over the set bits k of `mask`: one row of a product
+    whose right operand has the rows `rows`."""
+    row = 0
+    while mask:
+        low = mask & -mask
+        row |= rows[low.bit_length() - 1]
+        mask ^= low
+    return row
+
+
 def boolean_product(left: BooleanMatrix, right: BooleanMatrix) -> BooleanMatrix:
     """Row s of the product is the OR of the right operand's rows k over the
     set bits k of the left operand's row s."""
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     rmasks = right.masks
-    product = []
-    for mask in left.masks:
-        row = 0
-        while mask:
-            low = mask & -mask
-            row |= rmasks[low.bit_length() - 1]
-            mask ^= low
-        product.append(row)
-    return BooleanMatrix._wrap(tuple(product), left.dim)
+    return BooleanMatrix._wrap(tuple(_or_rows(mask, rmasks) for mask in left.masks), left.dim)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with `function(key)` on first lookup
+    and keeps it."""
+
+    __slots__ = ("function",)
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+def _row_table(right: BooleanMatrix) -> _Memo:
+    """Row mask -> that row of a product with `right` on the right, filled on
+    first use: `tuple(map(table.__getitem__, left.masks))` is the product's
+    masks, one lookup per row, and the OR runs once per distinct row."""
+    rows = right.masks
+    return _Memo(lambda mask: _or_rows(mask, rows))
 
 
 def is_idempotent(matrix: BooleanMatrix) -> bool:
-    return boolean_product(matrix, matrix) == matrix
+    """Squares row by row and stops at the first row that differs."""
+    masks = matrix.masks
+    return all(_or_rows(mask, masks) == mask for mask in masks)
 
 
 def idempotent_power(matrix: BooleanMatrix) -> tuple:
@@ -81,11 +110,18 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
 
 def _clear_transient_columns(matrix: BooleanMatrix) -> BooleanMatrix:
     # `stabilize` without its idempotence test, for callers that have just
-    # made it.
+    # made it.  State t is recurrent iff row t lies within column t.
     masks = matrix.masks
+    columns = [0] * matrix.dim
+    for s, mask in enumerate(masks):
+        bit = 1 << s
+        while mask:
+            low = mask & -mask
+            columns[low.bit_length() - 1] |= bit
+            mask ^= low
     recurrent = 0
-    for t, row in enumerate(masks):
-        if all(masks[s] >> t & 1 for s in range(matrix.dim) if row >> s & 1):
+    for t, (row, column) in enumerate(zip(masks, columns)):
+        if not row & ~column:
             recurrent |= 1 << t
     return BooleanMatrix._wrap(tuple(mask & recurrent for mask in masks), matrix.dim)
 
@@ -125,36 +161,38 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> list:
     result is closed under product.
     """
     elements: list[MonoidElement] = []
-    seen = set()
+    seen = set()   # the elements' mask tuples
+    dim = next(iter(supports.values())).dim
 
-    def add(matrix, witness):
-        seen.add(matrix)
-        elements.append(MonoidElement(matrix, witness))
+    def add(masks, witness):
+        seen.add(masks)
+        elements.append(MonoidElement(BooleanMatrix._wrap(masks, dim), witness))
         return elements[-1]
 
-    def multiply(left, right):
-        # Most products are duplicates; their witness is never built.
-        matrix = boolean_product(left.matrix, right.matrix)
-        if matrix not in seen:
-            add(matrix, Product(left.witness, right.witness))
+    def multiply(pairs):
+        # Most products are duplicates; they build no matrix and no witness.
+        for left, (generator, lookup) in pairs:
+            masks = tuple(map(lookup, left.matrix.masks))
+            if masks not in seen:
+                add(masks, Product(left.witness, generator.witness))
 
     for letter, matrix in supports.items():
-        if matrix not in seen:
-            add(matrix, Letter(letter))
-    generators = list(elements)
+        if matrix.masks not in seen:
+            add(matrix.masks, Letter(letter))
+    # Each generator with the lookup of its row table.
+    generators = [(element, _row_table(element.matrix).__getitem__) for element in elements]
     processed = 0
     while processed < len(elements):
         element = elements[processed]
-        for generator in generators:
-            multiply(element, generator)
+        multiply(itertools.product((element,), generators))
         processed += 1
         if stabilizing and is_idempotent(element.matrix):
             matrix = _clear_transient_columns(element.matrix)
-            if matrix not in seen:
-                stable = add(matrix, Omega(element.witness))
-                for earlier in elements[:processed]:
-                    multiply(earlier, stable)
-                generators.append(stable)
+            if matrix.masks not in seen:
+                stable = add(matrix.masks, Omega(element.witness))
+                generator = (stable, _row_table(matrix).__getitem__)
+                multiply(itertools.product(elements[:processed], (generator,)))
+                generators.append(generator)
     return elements
 
 
@@ -202,9 +240,14 @@ def find_value1_witness(monoid: MarkovMonoid,
 def format_monoid(monoid: MarkovMonoid) -> str:
     """One line per element: row-major bitstring, then the witness expression."""
     # Witnesses share their subtrees (an element's witness is built from its
-    # parent's), so each node is rendered once for all of them.
+    # parent's), so each node is rendered once for all of them; likewise
+    # each distinct row mask.  Bit t is column t, so a row reads as the
+    # mask's binary digits in reverse.
     texts = {}
+    width = f"0{monoid.elements[0].matrix.dim}b" if monoid.elements else ""
+    rows = _Memo(lambda mask: format(mask, width)[::-1])
     return "\n".join(
-        f"{element.matrix.bitstring()} {format_expression(element.witness, texts)}"
+        f"{''.join(map(rows.__getitem__, element.matrix.masks))} "
+        f"{format_expression(element.witness, texts)}"
         for element in monoid.elements
     )

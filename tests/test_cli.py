@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,48 @@ class TestMonoid:
         assert main(["monoid", str(tmp_path / "cx.json")]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[:2] == ["elements: 18", "letters: 2 products: 15 stabilizations: 1"]
+
+
+
+# The base automata whose reductions the `monoid-reduction` benchmark
+# enumerates (rows of letter a, final states), and the sha256 of `monoid`'s
+# stdout on each reduction, recorded before the saturation moved to
+# per-generator row tables.  Element order and witness text must not move.
+REDUCTION_DUMPS = {
+    "accept1": ([[1.0]], [True],
+                "1c32da784b420b6af93fb137b6d87c34f223f16b82fe8d4b6fbd930576018d3b"),
+    "reject1": ([[1.0]], [False],
+                "df8142e3105da1d14bd056fcc99cd1d1ef9f35fcb4acb5738a495c6cd20578cd"),
+    "det2": ([[0.0, 1.0], [0.0, 1.0]], [False, True],
+             "07d698334ca4689580612b512a6b43d0ee81d08c30472532a41eff093b8ec949"),
+    "coin3": ([[0.0, 0.7, 0.3], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [False, True, False],
+              "5daa4c65db9b5dabc5c12e1cb1fd8246376e6574cac7f0b20653ab64cb46693c"),
+}
+COUNTEREXAMPLE_DUMP = "622e4a8bd903bfd3a1e543484a707844770b3b3538aeb8e665b07d3eb44f6f7f"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestMonoidDumpDigests:
+    @pytest.mark.parametrize("name", sorted(REDUCTION_DUMPS))
+    def test_reduction(self, tmp_path, capsys, name):
+        rows, final, digest = REDUCTION_DUMPS[name]
+        d = len(final)
+        base, built = tmp_path / "base.json", tmp_path / "reduced.json"
+        base.write_text(json.dumps({
+            "states": [f"s{i}" for i in range(d)], "alphabet": ["a"],
+            "initial": [1.0] + [0.0] * (d - 1), "final": final, "transitions": {"a": rows}}))
+        assert main(["reduce", str(base), "-o", str(built)]) == 0
+        capsys.readouterr()
+        assert main(["monoid", str(built)]) == 0
+        assert sha256(capsys.readouterr().out) == digest
+
+    def test_counterexample(self, tmp_path, capsys):
+        assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
+        assert main(["monoid", str(tmp_path / "cx.json")]) == 0
+        assert sha256(capsys.readouterr().out) == COUNTEREXAMPLE_DUMP
 
 
 class TestSimulate:

@@ -350,6 +350,35 @@ class TestFileFormat:
         with pytest.raises(AutomatonFormatError, match=r"row 0 \('s0'\): entries must be numbers"):
             automaton_from_json(text)
 
+    # Every entry json.loads can return that is not a finite number in float
+    # range, then a negative one, each at the first and the last position
+    # of `initial` and of a transition row; NaN is skipped or not by min and
+    # max depending on where it stands.
+    ENTRY_TEXTS = {"true": "true", "string": '"0.5"', "null": "null", "nan": "NaN",
+                   "infinity": "Infinity", "minus-infinity": "-Infinity",
+                   "overflowing-float": "1e400", "huge-integer": "1" + "0" * 400}
+    TEMPLATE = ('{"states": ["s0", "s1"], "alphabet": ["a"], "initial": [%s], '
+                '"final": [false, true], "transitions": {"a": [[%s], [0, 1]]}}')
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("entry", list(ENTRY_TEXTS) + ["negative"])
+    @pytest.mark.parametrize("field", ["initial", "row"])
+    def test_entry_messages(self, field, entry, position):
+        text = self.ENTRY_TEXTS.get(entry, "-0.5")
+        vector = ["0.5", "0.5"]
+        vector[position] = text
+        payload = self.TEMPLATE % ((", ".join(vector), "0.5, 0.5") if field == "initial"
+                                   else ("0.5, 0.5", ", ".join(vector)))
+        message = {
+            ("initial", False): "`initial` entries must be numbers",
+            ("initial", True): "initial vector has a negative or NaN entry",
+            ("row", False): "letter 'a', row 0 ('s0'): entries must be numbers",
+            ("row", True): "letter 'a', row 0 ('s0'): negative entry",
+        }[field, entry == "negative"]
+        with pytest.raises(AutomatonFormatError) as caught:
+            automaton_from_json(payload)
+        assert str(caught.value) == message
+
     def test_not_json(self):
         with pytest.raises(AutomatonFormatError, match="JSON"):
             automaton_from_json("not json at all")

@@ -156,11 +156,11 @@ DIMS = list(range(1, 10)) + [70]
 
 
 @st.composite
-def dense_pairs(draw):
+def dense_pairs(draw, dims=st.sampled_from(DIMS)):
     """Two supports of stochastic matrices of one dimension: each row ANDs
     one to three random masks, so densities of 1/2, 1/4 and 1/8 all occur,
     and then sets one bit, so no row is empty."""
-    d = draw(st.sampled_from(DIMS))
+    d = draw(dims)
 
     def dense():
         rows = []
@@ -203,6 +203,29 @@ class TestKernelAgainstDenseReference:
         product = boolean_product(BooleanMatrix(left), BooleanMatrix(right))
         assert product.rows == as_rows(reference_product(left, right))
         assert product == BooleanMatrix(reference_product(left, right))
+
+    @settings(deadline=None)
+    @given(dense_pairs(st.integers(1, 70)))
+    @example((cycle(70), sparse(70, 1)))
+    def test_product_through_row_table(self, pair):
+        # Saturation's right product: one table lookup per row of the left
+        # operand.
+        left, right = pair
+        table = monoid_module._row_table(BooleanMatrix(right))
+        masks = tuple(map(table.__getitem__, BooleanMatrix(left).masks))
+        assert masks == BooleanMatrix(reference_product(left, right)).masks
+
+    @settings(deadline=None)
+    @given(dense_pairs(st.integers(1, 70)))
+    @example((cycle(70), sparse(70, 1)))
+    def test_row_table_holds_only_the_masks_asked_for(self, pair):
+        left, right = pair
+        table = monoid_module._row_table(BooleanMatrix(right))
+        assert not table
+        asked = BooleanMatrix(left).masks
+        for mask in asked + asked:
+            table[mask]
+        assert set(table) == set(asked)
 
     @settings(deadline=None)
     @given(dense_pairs())
@@ -391,18 +414,27 @@ REDUCTIONS = {
 }
 
 
-def counted_products(monkeypatch):
-    """Count every boolean product the saturation makes, including those
-    inside idempotence tests and stabilizations."""
-    calls = []
-    original = monoid_module.boolean_product
+def counted_work(monkeypatch):
+    """Count the row-table lookups (one per row of each right product) and
+    the idempotence tests that saturation makes."""
+    counts = {"lookups": 0, "idempotence tests": 0}
+    make_table, test = monoid_module._row_table, monoid_module.is_idempotent
 
-    def counting(left, right):
-        calls.append(None)
-        return original(left, right)
+    class CountingTable:
+        def __init__(self, right):
+            self.table = make_table(right)
 
-    monkeypatch.setattr(monoid_module, "boolean_product", counting)
-    return calls
+        def __getitem__(self, mask):
+            counts["lookups"] += 1
+            return self.table[mask]
+
+    def counting_test(matrix):
+        counts["idempotence tests"] += 1
+        return test(matrix)
+
+    monkeypatch.setattr(monoid_module, "_row_table", CountingTable)
+    monkeypatch.setattr(monoid_module, "is_idempotent", counting_test)
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
@@ -416,19 +448,19 @@ class TestReductionMonoids:
                 element.matrix, format_expression(element.witness)
 
     def test_each_element_meets_each_generator_once(self, name, monkeypatch):
-        # Products <= |M| * (|G| + 1): one per element and generator, plus
-        # one for the idempotence test of each element; stabilizing an
-        # element found idempotent does not test it again.  G is the letters
-        # plus the new stabilizations.
+        # |M| * |G| right products, and one idempotence test per element;
+        # stabilizing an element found idempotent does not test it again.
+        # G is the letter supports plus the new stabilizations.
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
-        calls = counted_products(monkeypatch)
+        counts = counted_work(monkeypatch)
         monoid = markov_monoid(automaton)
-        generators = len(automaton.alphabet) + sum(
-            isinstance(element.witness, Omega) for element in monoid)
-        assert len(calls) <= len(monoid) * (generators + 1)
+        generators = sum(isinstance(element.witness, (Letter, Omega)) for element in monoid)
+        assert counts == {"lookups": len(monoid) * generators * automaton.dim,
+                          "idempotence tests": len(monoid)}
 
     def test_transition_monoid_meets_each_letter_once(self, name, monkeypatch):
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
-        calls = counted_products(monkeypatch)
+        counts = counted_work(monkeypatch)
         elements = transition_monoid(automaton)
-        assert len(calls) <= len(elements) * len(automaton.alphabet)
+        assert counts == {"lookups": len(elements) * len(automaton.alphabet) * automaton.dim,
+                          "idempotence tests": 0}
