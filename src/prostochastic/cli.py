@@ -51,7 +51,7 @@ def cmd_analyze(args) -> int:
 def cmd_monoid(args) -> int:
     automaton = load_automaton(args.automaton)
     monoid = markov_monoid(automaton)
-    kinds = Counter(type(element.witness) for element in monoid)
+    kinds = Counter(origin[0] for origin in monoid.origins)
     print(f"elements: {len(monoid)}")
     print(f"letters: {kinds[Letter]} products: {kinds[Product]} "
           f"stabilizations: {kinds[Omega]}")

@@ -7,12 +7,12 @@ stabilization, saturation) is computed symbolically, never from floats.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .core import BooleanMatrix, ProbabilisticAutomaton, StochasticMatrix
-from .expressions import Letter, Omega, OmegaExpression, Product, format_expression
+from .expressions import Letter, Omega, OmegaExpression, Product
 
 
 class IdempotenceError(ValueError):
@@ -103,27 +103,42 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
     back.  Transient targets lose their mass in the limit, so their columns
     are cleared.
     """
-    if not is_idempotent(matrix):
+    masks = _stabilized(matrix.masks)
+    if masks is None:
         raise IdempotenceError("stabilization is only defined on idempotent matrices")
-    return _clear_transient_columns(matrix)
+    return BooleanMatrix._wrap(masks, matrix.dim)
 
 
-def _clear_transient_columns(matrix: BooleanMatrix) -> BooleanMatrix:
-    # `stabilize` without its idempotence test, for callers that have just
-    # made it.  State t is recurrent iff row t lies within column t.
-    masks = matrix.masks
-    columns = [0] * matrix.dim
-    for s, mask in enumerate(masks):
-        bit = 1 << s
-        while mask:
-            low = mask & -mask
-            columns[low.bit_length() - 1] |= bit
-            mask ^= low
-    recurrent = 0
-    for t, (row, column) in enumerate(zip(masks, columns)):
-        if not row & ~column:
-            recurrent |= 1 << t
-    return BooleanMatrix._wrap(tuple(mask & recurrent for mask in masks), matrix.dim)
+def _stabilized(masks: tuple) -> Optional[tuple]:
+    """The masks of `stabilize`, or None when the matrix is not idempotent:
+    both tests in one pass over the distinct rows.
+
+    `same` maps each row to the set of states that have it.  Row r squares
+    to the OR of the rows whose state sets meet r.  In an idempotent, state
+    t is recurrent iff t is in row t and every state in row t has row t too;
+    so when row r lies within its own states, the recurrent ones among them
+    are those in r (all of them when r is empty: they reach nothing).
+    """
+    same = {}
+    bit = 1
+    for row in masks:
+        same[row] = same.get(row, 0) | bit
+        bit <<= 1
+    rows = same.items()
+    recurrent = targets = 0
+    for row, states in rows:
+        square = 0
+        for other, others in rows:
+            if others & row:
+                square |= other
+        if square != row:
+            return None
+        if not row & ~states:
+            recurrent |= row or states
+        targets |= row
+    if not targets & ~recurrent:
+        return masks
+    return tuple(map(recurrent.__and__, masks))
 
 
 @dataclass(frozen=True)
@@ -136,22 +151,69 @@ class MonoidElement:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMonoid:
-    elements: tuple
+    """The saturated monoid as an element table, in discovery order.
+
+    Element k is `masks[k]`, its matrix's row masks, and `origins[k]`, how
+    it was found: `(Letter, token)`, `(Product, left, right)` with the
+    indices of its two factors, or `(Omega, child)`.  Every index in an
+    origin is below k.  Matrices and witnesses are built on demand.
+    """
+
+    masks: tuple
+    origins: tuple
     generators: Mapping[str, BooleanMatrix]
 
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """Every element with its witness; each witness shares the nodes of
+        its factors' witnesses."""
+        witnesses = []
+        for origin in self.origins:
+            witnesses.append(_witness_node(origin, witnesses))
+        return tuple(map(MonoidElement, self._matrices(), witnesses))
+
+    def element(self, index: int) -> MonoidElement:
+        """Element `index`, building only the witnesses that its own is
+        built from."""
+        needed, stack = set(), [index]
+        while stack:
+            k = stack.pop()
+            if k not in needed:
+                needed.add(k)
+                kind, *factors = self.origins[k]
+                if kind is not Letter:
+                    stack += factors
+        witnesses = {}
+        for k in sorted(needed):
+            witnesses[k] = _witness_node(self.origins[k], witnesses)
+        masks = self.masks[index]
+        return MonoidElement(BooleanMatrix._wrap(masks, len(masks)), witnesses[index])
+
+    def _matrices(self):
+        return (BooleanMatrix._wrap(masks, len(masks)) for masks in self.masks)
+
     def matrices(self) -> frozenset:
-        return frozenset(element.matrix for element in self.elements)
+        return frozenset(self._matrices())
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.elements)
 
 
-def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> list:
+def _witness_node(origin: tuple, witnesses) -> OmegaExpression:
+    # The witness of an element with this origin, given its factors' witnesses.
+    kind, *factors = origin
+    if kind is Letter:
+        return Letter(*factors)
+    return kind(*(witnesses[k] for k in factors))
+
+
+def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple:
     """Right Cayley-graph closure of the letter supports (Froidure-Pin);
-    returns the elements.
+    returns the element table: each element's masks and origin, as in
+    `MarkovMonoid`.
 
     Each element, in discovery order, is multiplied on the right by each
     generator exactly once.  The generators are the distinct letter supports
@@ -160,48 +222,50 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> list:
     Every element is a generator or an element times a generator, so the
     result is closed under product.
     """
-    elements: list[MonoidElement] = []
-    seen = set()   # the elements' mask tuples
-    dim = next(iter(supports.values())).dim
+    table, origins = [], []
+    seen = set()   # the elements' masks
 
-    def add(masks, witness):
+    def add(masks, origin):
         seen.add(masks)
-        elements.append(MonoidElement(BooleanMatrix._wrap(masks, dim), witness))
-        return elements[-1]
+        table.append(masks)
+        origins.append(origin)
 
-    def multiply(pairs):
-        # Most products are duplicates; they build no matrix and no witness.
-        for left, (generator, lookup) in pairs:
-            masks = tuple(map(lookup, left.matrix.masks))
-            if masks not in seen:
-                add(masks, Product(left.witness, generator.witness))
+    def multiply(lefts, generators):
+        # Most products are duplicates; they add nothing.
+        for left in lefts:
+            masks = table[left]
+            for generator, lookup in generators:
+                product = tuple(map(lookup, masks))
+                if product not in seen:
+                    add(product, (Product, left, generator))
 
     for letter, matrix in supports.items():
         if matrix.masks not in seen:
-            add(matrix.masks, Letter(letter))
-    # Each generator with the lookup of its row table.
-    generators = [(element, _row_table(element.matrix).__getitem__) for element in elements]
+            add(matrix.masks, (Letter, letter))
+    # Each generator's index with the lookup of its row table.
+    generators = [(k, _row_table(supports[origins[k][1]]).__getitem__)
+                  for k in range(len(table))]
     processed = 0
-    while processed < len(elements):
-        element = elements[processed]
-        multiply(itertools.product((element,), generators))
+    while processed < len(table):
+        multiply((processed,), generators)
         processed += 1
-        if stabilizing and is_idempotent(element.matrix):
-            matrix = _clear_transient_columns(element.matrix)
-            if matrix.masks not in seen:
-                stable = add(matrix.masks, Omega(element.witness))
-                generator = (stable, _row_table(matrix).__getitem__)
-                multiply(itertools.product(elements[:processed], (generator,)))
+        if stabilizing:
+            stable = _stabilized(table[processed - 1])
+            if stable is not None and stable not in seen:
+                add(stable, (Omega, processed - 1))
+                generator = (len(table) - 1,
+                             _row_table(BooleanMatrix._wrap(stable, len(stable))).__getitem__)
+                multiply(range(processed), (generator,))
                 generators.append(generator)
-    return elements
+    return tuple(table), tuple(origins)
 
 
 def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
     """All supports reachable by finite words: the closure of the letter
     projections under boolean product, in discovery order (the letters,
     then each element times each letter)."""
-    return tuple(element.matrix
-                 for element in _saturate(letter_supports(automaton), stabilizing=False))
+    masks, _ = _saturate(letter_supports(automaton), stabilizing=False)
+    return tuple(BooleanMatrix._wrap(rows, automaton.dim) for rows in masks)
 
 
 def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
@@ -214,19 +278,20 @@ def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
     new stabilizations as found) and, if idempotent, its stabilization.
     """
     supports = letter_supports(automaton)
-    return MarkovMonoid(tuple(_saturate(supports, stabilizing=True)), supports)
+    return MarkovMonoid(*_saturate(supports, stabilizing=True), supports)
 
 
 def _value1_test(automaton: ProbabilisticAutomaton):
-    # The initial support and the rejecting-state mask, computed once.
+    # The initial support and the rejecting-state mask, computed once; the
+    # test takes a matrix's masks.
     initial = automaton.initial_support()
     rejecting = sum(1 << t for t, accepting in enumerate(automaton.final) if not accepting)
-    return lambda matrix: not any(matrix.masks[s] & rejecting for s in initial)
+    return lambda masks: not any(masks[s] & rejecting for s in initial)
 
 
 def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) -> bool:
     """Every transition from an initially-supported state lands in a final state."""
-    return _value1_test(automaton)(matrix)
+    return _value1_test(automaton)(matrix.masks)
 
 
 def find_value1_witness(monoid: MarkovMonoid,
@@ -234,20 +299,29 @@ def find_value1_witness(monoid: MarkovMonoid,
     """First monoid element (in discovery order) that is a value-1 witness,
     or None; the algorithm answers YES exactly when one exists."""
     is_witness = _value1_test(automaton)
-    return next((element for element in monoid.elements if is_witness(element.matrix)), None)
+    index = next((k for k, masks in enumerate(monoid.masks) if is_witness(masks)), None)
+    return None if index is None else monoid.element(index)
 
 
 def format_monoid(monoid: MarkovMonoid) -> str:
     """One line per element: row-major bitstring, then the witness expression."""
-    # Witnesses share their subtrees (an element's witness is built from its
-    # parent's), so each node is rendered once for all of them; likewise
-    # each distinct row mask.  Bit t is column t, so a row reads as the
-    # mask's binary digits in reverse.
-    texts = {}
-    width = f"0{monoid.elements[0].matrix.dim}b" if monoid.elements else ""
+    # Each witness's text is built from its factors' texts, as
+    # `format_expression` would render it: a product's right factor is a
+    # generator, never a product.  Each distinct row mask is rendered once;
+    # bit t is column t, so a row reads as the mask's binary digits in
+    # reverse.
+    texts = []
+    for kind, *factors in monoid.origins:
+        if kind is Letter:
+            text = factors[0]
+        elif kind is Product:
+            text = f"{texts[factors[0]]} {texts[factors[1]]}"
+        elif monoid.origins[factors[0]][0] is Product:
+            text = f"({texts[factors[0]]})^w"
+        else:
+            text = f"{texts[factors[0]]}^w"
+        texts.append(text)
+    width = f"0{len(monoid.masks[0])}b" if monoid.masks else ""
     rows = _Memo(lambda mask: format(mask, width)[::-1])
-    return "\n".join(
-        f"{''.join(map(rows.__getitem__, element.matrix.masks))} "
-        f"{format_expression(element.witness, texts)}"
-        for element in monoid.elements
-    )
+    return "\n".join(f"{''.join(map(rows.__getitem__, masks))} {text}"
+                     for masks, text in zip(monoid.masks, texts))

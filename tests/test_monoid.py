@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import prostochastic.monoid as monoid_module
 from prostochastic import (BooleanMatrix, IdempotenceError, Letter, Omega,
-                           MarkovMonoid, MonoidElement,
                            ProbabilisticAutomaton, Product, StochasticMatrix,
                            boolean_interpretation, boolean_product,
                            boolean_projection, build_reduction,
@@ -245,6 +244,38 @@ class TestKernelAgainstDenseReference:
             # A stabilization is itself idempotent, often with cleared columns.
             assert stabilize(BooleanMatrix(stable)).rows == as_rows(reference_stabilize(stable))
 
+    @settings(deadline=None)
+    @given(dense_pairs())
+    @example((cycle(70), sparse(70, 1)))
+    def test_fused_idempotence_and_stabilization(self, pair):
+        # Saturation's one-pass helper: the stabilized masks, or None for a
+        # non-idempotent matrix.
+        for dense in pair:
+            for candidate in (dense, reference_closure(dense)):
+                matrix = BooleanMatrix(candidate)
+                fused = monoid_module._stabilized(matrix.masks)
+                if not is_idempotent(matrix):
+                    assert fused is None
+                    continue
+                assert fused == stabilize(matrix).masks
+                assert fused == BooleanMatrix(reference_stabilize(candidate)).masks
+
+    def test_state_sharing_its_row_with_a_recurrent_state_is_transient(self):
+        # Row 1 is {2} and row 2 is {2}: state 1 has the row of its only
+        # successor, yet it is not in its own row, so its column is cleared.
+        matrix = [[1, 1, 1], [0, 0, 1], [0, 0, 1]]
+        assert is_idempotent(BooleanMatrix(matrix))
+        expected = numeric_support_of_power_limit([[1 / 3, 1 / 3, 1 / 3], [0, 0, 1], [0, 0, 1]])
+        assert expected.rows == as_rows(reference_stabilize(matrix)) == ((0, 0, 1),) * 3
+        assert monoid_module._stabilized(BooleanMatrix(matrix).masks) == expected.masks
+
+    def test_state_with_an_empty_row_keeps_its_column(self):
+        # No stochastic support has an empty row, but a BooleanMatrix may:
+        # such a state reaches nothing, so nothing fails to reach it back.
+        matrix = [[1, 1], [0, 0]]
+        assert monoid_module._stabilized(BooleanMatrix(matrix).masks) == \
+            BooleanMatrix(reference_stabilize(matrix)).masks == BooleanMatrix([[0, 1], [0, 0]]).masks
+
 
 class TestTransitionMonoid:
     def test_order_two_permutation(self, permutation):
@@ -383,20 +414,41 @@ class TestMonoidDump:
         assert lines[1] == "0101 a^w"
 
     def test_deep_shared_witnesses(self):
-        # Each witness extends the previous one, as saturation builds them,
-        # and nests deeper than the interpreter's default recursion limit.
-        elements, witness = [], Letter("a")
-        for _ in range(1500):
-            elements.append(MonoidElement(BooleanMatrix.identity(1), witness))
-            witness = Product(witness, Letter("a"))
-        lines = format_monoid(MarkovMonoid(tuple(elements), {})).splitlines()
-        assert lines == ["1 " + " ".join(["a"] * k) for k in range(1, 1501)]
+        # One letter permuting cycles of lengths 4, 25 and 11: element k is
+        # a^k, so its witness extends element k - 1's and nests 1,100 deep,
+        # past the interpreter's default recursion limit.
+        monoid = markov_monoid(cycles_automaton(4, 25, 11))
+        lines = format_monoid(monoid).splitlines()
+        assert len(lines) == len(monoid) == 1100
+        for k, line in enumerate(lines, 1):
+            assert line.split(" ", 1)[1] == " ".join(["a"] * k)
+        witness = monoid.elements[-1].witness
+        assert lines[-1] == f"{monoid.elements[-1].matrix.bitstring()} {format_expression(witness)}"
+
+    def test_answers_and_text_leave_the_elements_unbuilt(self, funnel):
+        monoid = markov_monoid(funnel)
+        element = find_value1_witness(monoid, funnel)
+        format_monoid(monoid)
+        assert "elements" not in vars(monoid)
+        assert element == next(e for e in monoid.elements if is_value1_witness(e.matrix, funnel))
 
     def test_same_text_as_formatting_each_witness(self):
         monoid = markov_monoid(build_reduction(coin_automaton(0.7)).automaton)
         assert format_monoid(monoid) == "\n".join(
             f"{element.matrix.bitstring()} {format_expression(element.witness)}"
             for element in monoid)
+
+
+def cycles_automaton(*lengths):
+    """One letter permuting disjoint cycles of the given lengths; its
+    transition monoid is cyclic of order lcm(lengths)."""
+    successor, start = [], 0
+    for length in lengths:
+        successor += [start + (k + 1) % length for k in range(length)]
+        start += length
+    rows = [[float(t == successor[s]) for t in range(start)] for s in range(start)]
+    return ProbabilisticAutomaton(tuple(f"s{s}" for s in range(start)), ("a",), {"a": rows},
+                                  (1.0,) + (0.0,) * (start - 1), (False,) * (start - 1) + (True,))
 
 
 def deterministic_pair_automaton():
@@ -416,9 +468,10 @@ REDUCTIONS = {
 
 def counted_work(monkeypatch):
     """Count the row-table lookups (one per row of each right product) and
-    the idempotence tests that saturation makes."""
+    the idempotence tests that saturation makes (each a call of the helper
+    that also stabilizes)."""
     counts = {"lookups": 0, "idempotence tests": 0}
-    make_table, test = monoid_module._row_table, monoid_module.is_idempotent
+    make_table, test = monoid_module._row_table, monoid_module._stabilized
 
     class CountingTable:
         def __init__(self, right):
@@ -428,12 +481,12 @@ def counted_work(monkeypatch):
             counts["lookups"] += 1
             return self.table[mask]
 
-    def counting_test(matrix):
+    def counting_test(masks):
         counts["idempotence tests"] += 1
-        return test(matrix)
+        return test(masks)
 
     monkeypatch.setattr(monoid_module, "_row_table", CountingTable)
-    monkeypatch.setattr(monoid_module, "is_idempotent", counting_test)
+    monkeypatch.setattr(monoid_module, "_stabilized", counting_test)
     return counts
 
 
@@ -448,8 +501,8 @@ class TestReductionMonoids:
                 element.matrix, format_expression(element.witness)
 
     def test_each_element_meets_each_generator_once(self, name, monkeypatch):
-        # |M| * |G| right products, and one idempotence test per element;
-        # stabilizing an element found idempotent does not test it again.
+        # |M| * |G| right products, and one idempotence test per element,
+        # which also stabilizes it.
         # G is the letter supports plus the new stabilizations.
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
         counts = counted_work(monkeypatch)

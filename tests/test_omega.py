@@ -157,16 +157,17 @@ class TestBooleanInterpretation:
             boolean_interpretation(Letter("z"), {"a": UPPER})
 
     def test_one_idempotence_test_per_omega_node(self, monkeypatch):
+        # `stabilize` tests idempotence in the same pass that stabilizes.
         from prostochastic import monoid
         automaton = counterexample_automaton(0.9)
         calls = []
-        original = monoid.is_idempotent
+        original = monoid._stabilized
 
-        def counting(matrix):
-            calls.append(matrix)
-            return original(matrix)
+        def counting(masks):
+            calls.append(masks)
+            return original(masks)
 
-        monkeypatch.setattr(monoid, "is_idempotent", counting)
+        monkeypatch.setattr(monoid, "_stabilized", counting)
         boolean_interpretation(parse_expression("(b a^w)^w", automaton.alphabet),
                                letter_supports(automaton))
         assert len(calls) == 2
