@@ -153,10 +153,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except RecursionError:
-        # The expression tree walkers recurse once per nesting level.
-        print("error: expression nests too deeply", file=sys.stderr)
-        return EXIT_ERROR
 
 
 def run():

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 import numpy as np
+
+from .expressions import Node, postorder
 
 ROW_SUM_TOLERANCE = 1e-9
 
@@ -297,41 +298,29 @@ def acceptance_probability(automaton: ProbabilisticAutomaton, word: Iterable[str
 # Word schedules: factored representations of huge finite words.
 
 
-@dataclass(frozen=True)
-class Literal:
-    word: tuple
+class Literal(Node):
+    __slots__ = _fields = ("word",)
+    _measure = len
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", tuple(str(a) for a in self.word))
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
+    def __new__(cls, word):
+        return super().__new__(cls, tuple(map(str, word)))
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: "WordSchedule"
-    right: "WordSchedule"
-
-    @property
-    def length(self) -> int:
-        return self.left.length + self.right.length
+class Concat(Node):
+    __slots__ = _fields = ("left", "right")
+    _arity = 2
+    _measure = staticmethod(lambda left, right: left.length + right.length)
 
 
-@dataclass(frozen=True)
-class Power:
-    child: "WordSchedule"
-    exponent: int
+class Power(Node):
+    __slots__ = _fields = ("child", "exponent")
+    _arity = 1
+    _measure = staticmethod(lambda child, exponent: child.length * exponent)
 
-    def __post_init__(self):
-        if self.exponent < 1:
+    def __new__(cls, child, exponent):
+        if exponent < 1:
             raise ValueError("schedule exponent must be >= 1")
-        object.__setattr__(self, "exponent", int(self.exponent))
-
-    @property
-    def length(self) -> int:
-        return self.child.length * self.exponent
+        return super().__new__(cls, child, int(exponent))
 
 
 WordSchedule = Union[Literal, Concat, Power]
@@ -344,13 +333,15 @@ def expand_schedule(schedule: WordSchedule, limit: int = 10**6) -> tuple:
     """
     if schedule.length > limit:
         raise ValueError(f"schedule denotes a word of length {schedule.length}, limit is {limit}")
-    if isinstance(schedule, Literal):
-        return schedule.word
-    if isinstance(schedule, Concat):
-        return expand_schedule(schedule.left, limit) + expand_schedule(schedule.right, limit)
-    if isinstance(schedule, Power):
-        return expand_schedule(schedule.child, limit) * schedule.exponent
-    raise TypeError(f"not a word schedule: {schedule!r}")
+    words = {}
+    for node in postorder(schedule):
+        if isinstance(node, Literal):
+            words[node] = node.word
+        elif isinstance(node, Concat):
+            words[node] = words[node.left] + words[node.right]
+        else:   # a power: a schedule node's children have lengths, so are schedules
+            words[node] = words[node.child] * node.exponent
+    return words[schedule]
 
 
 def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
@@ -358,28 +349,25 @@ def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
     """Transition matrix of the denoted word, computed without expansion.
 
     `memo` maps schedule nodes to their matrices on this automaton.  Equal
-    nodes hash alike, so a sub-schedule that recurs, within one schedule or
-    across the calls of a sweep that share the dict, is evaluated once.
-    The dict also keeps, under ``(Power, base node)``, the squaring chain
-    of each powered base, so powers of one base share their squarings.
+    nodes are one node, so a sub-schedule that recurs, within one schedule or
+    across the calls of a sweep that share the dict, is walked and evaluated
+    once.  The dict also keeps, under ``(Power, base node)``, the squaring
+    chain of each powered base, so powers of one base share their squarings.
     """
     if memo is None:
         memo = {}
-    matrix = memo.get(schedule)
-    if matrix is not None:
-        return matrix
-    if isinstance(schedule, Literal):
-        matrix = automaton.word_matrix(schedule.word)
-    elif isinstance(schedule, Concat):
-        matrix = (schedule_matrix(automaton, schedule.left, memo)
-                  @ schedule_matrix(automaton, schedule.right, memo))
-    elif isinstance(schedule, Power):
-        squares = memo.setdefault((Power, schedule.child), [])
-        matrix = schedule_matrix(automaton, schedule.child, memo).power(schedule.exponent, squares)
-    else:
-        raise TypeError(f"not a word schedule: {schedule!r}")
-    memo[schedule] = matrix
-    return matrix
+    for node in postorder(schedule, memo):
+        if isinstance(node, Literal):
+            matrix = automaton.word_matrix(node.word)
+        elif isinstance(node, Concat):
+            matrix = memo[node.left] @ memo[node.right]
+        elif isinstance(node, Power):
+            squares = memo.setdefault((Power, node.child), [])
+            matrix = memo[node.child].power(node.exponent, squares)
+        else:
+            raise TypeError(f"not a word schedule: {node!r}")
+        memo[node] = matrix
+    return memo[schedule]
 
 
 def schedule_acceptance_probability(automaton: ProbabilisticAutomaton,

@@ -1,30 +1,95 @@
 """Omega-expression syntax trees.
 
 An expression is built from alphabet letters with two operators: binary
-product (word concatenation) and the postfix omega iterator.  The trees are
-immutable and hashable so they can key caches and dedup tables.
+product (word concatenation) and the postfix omega iterator.  Expressions
+and word schedules are trees of hash-consed `Node`s, walked by `postorder`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import threading
+import weakref
 from typing import Union
 
-
-@dataclass(frozen=True)
-class Letter:
-    token: str
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "OmegaExpression"
-    right: "OmegaExpression"
+_set = object.__setattr__
+_live = {}   # (class, *fields) -> weak reference to the live node with those fields
+_lock = threading.Lock()   # held from a lookup in `_live` that misses to the insertion
+_gone = type(None)   # called in place of a missing weak reference: returns None
+_PLACE = object()   # on `postorder`'s stack: the node below it is to be placed
 
 
-@dataclass(frozen=True)
-class Omega:
-    child: "OmegaExpression"
+class Node:
+    """Immutable tree node, hash-consed (Filliâtre and Conchon, 2006): a node whose
+    fields equal those of a live node (children by identity, others by value) is
+    that node, so equality and hashing are identity.  Subclasses name their fields
+    in `_fields`, the first `_arity` children; `_measure` computes a schedule's length."""
+
+    __slots__ = ("_children", "_order", "length", "__weakref__")
+    _arity = 0
+    _measure = None
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _live.get(key, _gone)()
+        if node is None:
+            with _lock:   # another thread may have built the node meanwhile
+                node = _live.get(key, _gone)()
+                if node is None:
+                    node = object.__new__(cls)
+                    for name, value in zip(cls._fields, fields):
+                        _set(node, name, value)
+                    _set(node, "_children", fields[:cls._arity])
+                    if cls._measure is not None:
+                        _set(node, "length", cls._measure(*fields))
+                    # Nodes form no cycles: each drops its entry as its last reference goes.
+                    _live[key] = weakref.ref(node, functools.partial(_live.pop, key))
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+def postorder(root, done=()) -> list:
+    """The distinct nodes under `root`, root included, each after its
+    children (left to right), except those in `done` and under them.  A
+    value that is not a `Node` is a leaf, for the caller to reject."""
+    if not done and getattr(root, "_order", None) is not None:
+        return [*root._order, root]
+    order, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if node is _PLACE:
+            order.append(stack.pop())
+        elif node not in seen and node not in done:
+            # Seen from expansion on: in a DAG no path leads back to it.
+            seen.add(node)
+            stack += (node, _PLACE)
+            if isinstance(node, Node):
+                stack += reversed(node._children)
+    if not done and isinstance(root, Node):
+        # Kept for later walks, without the root: a cycle would outlive its last reference.
+        _set(root, "_order", tuple(order[:-1]))
+    return order
+
+
+class Letter(Node):
+    __slots__ = _fields = ("token",)
+
+
+class Product(Node):
+    __slots__ = _fields = ("left", "right")
+    _arity = 2
+
+
+class Omega(Node):
+    __slots__ = _fields = ("child",)
+    _arity = 1
 
 
 OmegaExpression = Union[Letter, Product, Omega]
@@ -42,52 +107,49 @@ def product_of(factors) -> OmegaExpression:
 
 
 def expression_depth(expr: OmegaExpression) -> int:
-    if isinstance(expr, Letter):
-        return 1
-    if isinstance(expr, Product):
-        return 1 + max(expression_depth(expr.left), expression_depth(expr.right))
-    if isinstance(expr, Omega):
-        return 1 + expression_depth(expr.child)
-    raise TypeError(f"not an omega-expression: {expr!r}")
+    depths = {}
+    for node in postorder(expr):
+        if not isinstance(node, (Letter, Product, Omega)):
+            raise TypeError(f"not an omega-expression: {node!r}")
+        depths[node] = 1 + max((depths[child] for child in node._children), default=0)
+    return depths[expr]
 
 
-def format_expression(expr: OmegaExpression, memo: dict | None = None) -> str:
+class _Text(str):
+    """Punctuation on `format_expression`'s stack, unlike any child."""
+
+
+_SPACE, _SPACE_OPEN, _OPEN, _CLOSE, _OMEGA, _CLOSE_OMEGA = map(
+    _Text, (" ", " (", "(", ")", "^w", ")^w"))
+
+
+def format_expression(expr: OmegaExpression) -> str:
     """Render an expression in the concrete syntax accepted by the parser.
 
     Products are space-separated and left-associative, so only a
     right-nested product needs parentheses; `^w` binds tighter than the
     product and stacks (``a^w^w``).
 
-    The tree is walked with an explicit stack, so depth is not limited by
-    recursion.  `memo` maps ``id(node)`` to its text; a caller formatting
-    several expressions that share subtrees, all alive meanwhile, may pass
-    one dict to all calls.
+    One in-order pass over an explicit stack writes the text, so the cost
+    is linear in the text at any depth.
     """
-    if memo is None:
-        memo = {}
-    stack = [expr]
+    parts, stack = [], [expr]
     while stack:
         node = stack.pop()
-        if id(node) in memo:
-            continue
-        if isinstance(node, Letter):
-            memo[id(node)] = node.token
+        if type(node) is _Text:
+            parts.append(node)
+        elif isinstance(node, Letter):
+            parts.append(node.token)
         elif isinstance(node, Product):
-            left, right = memo.get(id(node.left)), memo.get(id(node.right))
-            if left is None or right is None:
-                stack += (node, node.right, node.left)   # again after its operands
-            elif isinstance(node.right, Product):
-                memo[id(node)] = f"{left} ({right})"
+            if isinstance(node.right, Product):
+                stack += (_CLOSE, node.right, _SPACE_OPEN, node.left)
             else:
-                memo[id(node)] = f"{left} {right}"
+                stack += (node.right, _SPACE, node.left)
         elif isinstance(node, Omega):
-            inner = memo.get(id(node.child))
-            if inner is None:
-                stack += (node, node.child)
-            elif isinstance(node.child, Product):
-                memo[id(node)] = f"({inner})^w"
+            if isinstance(node.child, Product):
+                stack += (_CLOSE_OMEGA, node.child, _OPEN)
             else:
-                memo[id(node)] = f"{inner}^w"
+                stack += (_OMEGA, node.child)
         else:
             raise TypeError(f"not an omega-expression: {node!r}")
-    return memo[id(expr)]
+    return "".join(parts)

@@ -18,7 +18,7 @@ import numpy as np
 from .core import (Concat, Literal, Power, ProbabilisticAutomaton,
                    StochasticMatrix, BooleanMatrix, WordSchedule,
                    schedule_acceptance_probability)
-from .expressions import Letter, Omega, OmegaExpression, Product
+from .expressions import Letter, Omega, OmegaExpression, Product, postorder
 from .monoid import boolean_projection, idempotent_power, letter_supports, stabilize
 from .omega import boolean_interpretation
 
@@ -123,17 +123,15 @@ def numeric_interpretation(expr: OmegaExpression,
     can never change the answer).
     """
     boolean_interpretation(expr, letter_supports(automaton))
-
-    def evaluate(node):
+    values = {}
+    for node in postorder(expr):
         if isinstance(node, Letter):
-            return automaton.transition(node.token)
-        if isinstance(node, Product):
-            return evaluate(node.left) @ evaluate(node.right)
-        if isinstance(node, Omega):
-            return limit_matrix(evaluate(node.child))
-        raise TypeError(f"not an omega-expression: {node!r}")
-
-    return evaluate(expr)
+            values[node] = automaton.transition(node.token)
+        elif isinstance(node, Product):
+            values[node] = values[node.left] @ values[node.right]
+        else:   # an omega: `boolean_interpretation` has rejected other nodes
+            values[node] = limit_matrix(values[node.child])
+    return values[expr]
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +146,18 @@ def realize_polynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     """
     if n < 1:
         raise ValueError("realization index must be >= 1")
-    if isinstance(expr, Letter):
-        return Literal((expr.token,))
-    if isinstance(expr, Product):
-        return Concat(realize_polynomial(expr.left, n), realize_polynomial(expr.right, n))
-    if isinstance(expr, Omega):
-        inner = realize_polynomial(expr.child, n)
-        return Power(inner, polynomial_exponent(n * inner.length))
-    raise TypeError(f"not an omega-expression: {expr!r}")
+    schedules = {}
+    for node in postorder(expr):
+        if isinstance(node, Letter):
+            schedules[node] = Literal((node.token,))
+        elif isinstance(node, Product):
+            schedules[node] = Concat(schedules[node.left], schedules[node.right])
+        elif isinstance(node, Omega):
+            inner = schedules[node.child]
+            schedules[node] = Power(inner, polynomial_exponent(n * inner.length))
+        else:
+            raise TypeError(f"not an omega-expression: {node!r}")
+    return schedules[expr]
 
 
 def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .core import BooleanMatrix
 from .expressions import (Letter, Omega, OmegaExpression, Product,
-                          format_expression, product_of)
+                          format_expression, postorder, product_of)
 from .monoid import IdempotenceError, boolean_product, idempotent_power, stabilize
 
 
@@ -67,77 +67,44 @@ def _tokenize(text: str, alphabet: Sequence[str]):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, length):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        token = self.peek()
-        self.pos += 1
-        return token
-
-    def expr(self) -> OmegaExpression:
-        node = self.term()
-        while True:
-            ahead = self.peek()
-            if ahead is None:
-                return node
-            kind = ahead[0]
-            if kind == ".":
-                self.next()
-            elif kind not in ("letter", "("):
-                return node
-            node = Product(node, self.term())
-
-    def term(self) -> OmegaExpression:
-        node = self.atom()
-        while True:
-            ahead = self.peek()
-            if ahead is None:
-                return node
-            if ahead[0] == "omega":
-                self.next()
-                node = Omega(node)
-            elif ahead[0] == "repeat":
-                _, count, position = self.next()
-                if count < 1:
-                    raise ExpressionSyntaxError("repetition count must be >= 1", position)
-                node = product_of([node] * count)
-            else:
-                return node
-
-    def atom(self) -> OmegaExpression:
-        token = self.next()
-        if token is None:
-            raise ExpressionSyntaxError("unexpected end of expression", self.length)
-        kind, value, position = token
-        if kind == "letter":
-            return Letter(value)
-        if kind == "(":
-            node = self.expr()
-            closing = self.next()
-            if closing is None or closing[0] != ")":
-                raise ExpressionSyntaxError("expected ')'",
-                                            self.length if closing is None else closing[2])
-            return node
-        raise ExpressionSyntaxError(f"expected a letter or '(', got {value!r}", position)
-
-
 def parse_expression(text: str, alphabet: Sequence[str]) -> OmegaExpression:
+    # One pass.  `groups` holds the product read before each open '(', `product` the
+    # one read since, and `term` the term that postfix operators extend, or None.
     tokens = _tokenize(text, alphabet)
     if not tokens:
         raise ExpressionSyntaxError("empty expression", 0)
-    parser = _Parser(tokens, len(text))
-    node = parser.expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ExpressionSyntaxError(f"unexpected {trailing[1]!r}", trailing[2])
-    return node
+    groups, product, term = [], None, None
+    for kind, value, position in tokens:
+        if term is not None:
+            if kind == "omega":
+                term = Omega(term)
+                continue
+            if kind == "repeat":
+                if value < 1:
+                    raise ExpressionSyntaxError("repetition count must be >= 1", position)
+                term = product_of([term] * value)
+                continue
+            product = term if product is None else Product(product, term)
+            term = None
+            if kind == ".":
+                continue
+            if kind == ")":
+                if not groups:
+                    raise ExpressionSyntaxError(f"unexpected {value!r}", position)
+                product, term = groups.pop(), product
+                continue
+        if kind == "letter":
+            term = Letter(value)
+        elif kind == "(":
+            groups.append(product)
+            product = None
+        else:
+            raise ExpressionSyntaxError(f"expected a letter or '(', got {value!r}", position)
+    if term is None:
+        raise ExpressionSyntaxError("unexpected end of expression", len(text))
+    if groups:
+        raise ExpressionSyntaxError("expected ')'", len(text))
+    return term if product is None else Product(product, term)
 
 
 def parse_word(text: str, alphabet: Sequence[str]) -> tuple:
@@ -154,24 +121,26 @@ def boolean_interpretation(expr: OmegaExpression,
                            generators: Mapping[str, BooleanMatrix]) -> BooleanMatrix:
     """Evaluate an expression over letter supports: products multiply and
     omega stabilizes, which requires the iterated element to be idempotent."""
-    if isinstance(expr, Letter):
-        try:
-            return generators[expr.token]
-        except KeyError:
-            raise ValueError(f"unknown letter {expr.token!r}") from None
-    if isinstance(expr, Product):
-        return boolean_product(boolean_interpretation(expr.left, generators),
-                               boolean_interpretation(expr.right, generators))
-    if isinstance(expr, Omega):
-        matrix = boolean_interpretation(expr.child, generators)
-        try:
-            return stabilize(matrix)
-        except IdempotenceError:
-            raise IdempotenceError(
-                f"omega applied to non-idempotent expression "
-                f"{format_expression(expr.child)!r}",
-                expression=expr.child) from None
-    raise TypeError(f"not an omega-expression: {expr!r}")
+    values = {}
+    for node in postorder(expr):
+        if isinstance(node, Letter):
+            try:
+                values[node] = generators[node.token]
+            except KeyError:
+                raise ValueError(f"unknown letter {node.token!r}") from None
+        elif isinstance(node, Product):
+            values[node] = boolean_product(values[node.left], values[node.right])
+        elif isinstance(node, Omega):
+            try:
+                values[node] = stabilize(values[node.child])
+            except IdempotenceError:
+                raise IdempotenceError(
+                    f"omega applied to non-idempotent expression "
+                    f"{format_expression(node.child)!r}",
+                    expression=node.child) from None
+        else:
+            raise TypeError(f"not an omega-expression: {node!r}")
+    return values[expr]
 
 
 def idempotent_power_exponent(expr: OmegaExpression,

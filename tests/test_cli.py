@@ -73,6 +73,21 @@ class TestAnalyze:
         assert captured.out == "YES\nwitness: " + " ".join(["a"] * (n - 1)) + "\n"
         assert captured.err == ""
 
+    def test_verify_witness_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # The witness of a 400-state cycle is a product of 399 letters; its
+        # realizations are Concat chains as deep, all memoized in one sweep.
+        n = 400
+        cycle = [[1 if t == (s + 1) % n else 0 for t in range(n)] for s in range(n)]
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps({
+            "states": [f"s{i}" for i in range(n)], "alphabet": ["a"],
+            "initial": [1] + [0] * (n - 1), "final": [False] * (n - 1) + [True],
+            "transitions": {"a": cycle}}))
+        assert main(["analyze", str(path), "--verify", "-n", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "\nextrapolated limit: 1\n" in captured.out
+        assert captured.err == ""
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "/nonexistent/automaton.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -169,13 +184,13 @@ class TestSimulate:
         assert main(["simulate", path, "-e", "(a"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_deeply_nested_expression_exit_2(self, tmp_path, capsys):
+    def test_deeply_nested_expression_exit_0(self, tmp_path, capsys):
         # a^500 is a chain of 500 nested products.
         assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
-        assert main(["simulate", str(tmp_path / "cx.json"), "-e", "a^500", "-n", "3"]) == 2
+        assert main(["simulate", str(tmp_path / "cx.json"), "-e", "a^500", "-n", "3"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: expression nests too deeply\n"
+        assert "extrapolated limit: 0\n" in captured.out
+        assert captured.err == ""
 
 
 class TestRepeatedCalls:

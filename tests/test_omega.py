@@ -66,11 +66,21 @@ class TestParser:
         ("a)", 1),
         ("a ^", 2),
         ("a^0", 1),
+        ("((a)", 4),
+        ("(a))", 3),
+        ("a . )", 4),
+        ("()", 1),
+        ("(a b)^w^0", 7),
     ])
     def test_syntax_errors_carry_positions(self, text, position):
         with pytest.raises(ExpressionSyntaxError) as excinfo:
             parse_expression(text, AB)
         assert excinfo.value.position == position
+
+    def test_parentheses_deeper_than_the_recursion_limit(self):
+        depth = 20000
+        assert parse_expression("(" * depth + "a b" + ")" * depth, AB) is \
+            Product(Letter("a"), Letter("b"))
 
     def test_unknown_letter(self):
         with pytest.raises(ExpressionSyntaxError, match="unknown letter"):
@@ -115,13 +125,11 @@ class TestDeepFormatting:
             expr = Product(Letter("b"), expr)
         assert format_expression(expr) == "b (" * (self.DEPTH - 1) + "b a" + ")" * (self.DEPTH - 1)
 
-    def test_shared_memo_matches_fresh_calls(self):
+    def test_shared_subtrees(self):
         a, b = Letter("a"), Letter("b")
         loop = Omega(Product(b, a))
         exprs = [loop, Product(loop, Product(a, b)), Omega(Omega(loop)), Product(a, loop)]
-        texts = {}
-        assert [format_expression(e, texts) for e in exprs] == \
-            [format_expression(e) for e in exprs] == \
+        assert [format_expression(e) for e in exprs] == \
             ["(b a)^w", "(b a)^w (a b)", "(b a)^w^w^w", "a (b a)^w"]
 
     def test_rejects_non_expressions(self):
