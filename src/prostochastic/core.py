@@ -112,7 +112,7 @@ class BooleanMatrix:
     masks.  Python ints have no width limit, so neither has the dimension.
     """
 
-    __slots__ = ("masks", "dim")
+    __slots__ = ("masks",)
 
     def __init__(self, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -122,15 +122,13 @@ class BooleanMatrix:
             raise ValueError("entries must be 0 or 1")
         object.__setattr__(self, "masks", tuple(
             sum(v << t for t, v in enumerate(row)) for row in rows))
-        object.__setattr__(self, "dim", len(rows))
 
     @classmethod
-    def _wrap(cls, masks: tuple, dim: int) -> "BooleanMatrix":
-        # Trusted constructor for kernel results: `masks` is a tuple of
-        # `dim` ints below 2**dim and is not checked.
+    def _wrap(cls, masks: tuple) -> "BooleanMatrix":
+        # Trusted constructor for kernel results: `masks` is a non-empty
+        # tuple of ints below 2**len(masks) and is not checked.
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "masks", masks)
-        object.__setattr__(matrix, "dim", dim)
         return matrix
 
     @classmethod
@@ -153,6 +151,10 @@ class BooleanMatrix:
 
     def __hash__(self):
         return hash(self.masks)
+
+    @property
+    def dim(self) -> int:
+        return len(self.masks)
 
     @property
     def rows(self) -> tuple:

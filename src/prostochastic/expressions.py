@@ -51,8 +51,33 @@ class Node:
 
     __delattr__ = __setattr__
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        # A flat post-order table whose rows hold a node's class, its
+        # children's row numbers and its other fields: pickling recurses on
+        # no depth and writes a shared subtree once.
+        nodes = postorder(self)
+        row = {node: k for k, node in enumerate(nodes)}
+        table = []
+        for node in nodes:
+            children = [row[child] for child in node._children]
+            others = [getattr(node, name) for name in node._fields[node._arity:]]
+            table.append((type(node), *children, *others))
+        return _rebuild, (tuple(table),)
+
+
+def _rebuild(table):
+    # The root of a table written by `Node.__reduce__`, built bottom-up.
+    nodes = []
+    for cls, *fields in table:
+        arity = cls._arity
+        nodes.append(cls(*map(nodes.__getitem__, fields[:arity]), *fields[arity:]))
+    return nodes[-1]
 
 
 def postorder(root, done=()) -> list:

@@ -28,7 +28,7 @@ def boolean_projection(matrix: StochasticMatrix) -> BooleanMatrix:
     return BooleanMatrix._wrap(tuple(
         sum(1 << t for t, v in enumerate(row) if v > 0.0)
         for row in matrix.entries.tolist()
-    ), matrix.dim)
+    ))
 
 
 def letter_supports(automaton: ProbabilisticAutomaton) -> dict:
@@ -54,7 +54,7 @@ def boolean_product(left: BooleanMatrix, right: BooleanMatrix) -> BooleanMatrix:
     if left.dim != right.dim:
         raise ValueError(f"dimension mismatch: {left.dim} vs {right.dim}")
     rmasks = right.masks
-    return BooleanMatrix._wrap(tuple(_or_rows(mask, rmasks) for mask in left.masks), left.dim)
+    return BooleanMatrix._wrap(tuple(_or_rows(mask, rmasks) for mask in left.masks))
 
 
 class _Memo(dict):
@@ -72,27 +72,27 @@ class _Memo(dict):
         return value
 
 
-def _row_table(right: BooleanMatrix) -> _Memo:
-    """Row mask -> that row of a product with `right` on the right, filled on
-    first use: `tuple(map(table.__getitem__, left.masks))` is the product's
-    masks, one lookup per row, and the OR runs once per distinct row."""
-    rows = right.masks
+def _row_table(rows: tuple) -> _Memo:
+    """Row mask -> that row of a product whose right operand has the masks
+    `rows`, filled on first use: `tuple(map(table.__getitem__, left_masks))`
+    is the product's masks, one lookup per row; each distinct row is ORed once."""
     return _Memo(lambda mask: _or_rows(mask, rows))
 
 
 def is_idempotent(matrix: BooleanMatrix) -> bool:
-    """Squares row by row and stops at the first row that differs."""
-    masks = matrix.masks
-    return all(_or_rows(mask, masks) == mask for mask in masks)
+    """True when the matrix equals its square (tested by `_stabilized`)."""
+    return _stabilized(matrix.masks) is not None
 
 
 def idempotent_power(matrix: BooleanMatrix) -> tuple:
-    """Least e >= 1 such that matrix^e is idempotent, and that power.  The
-    powers meet the one idempotent of their cycle before they repeat."""
-    exponent, power = 1, matrix
-    while not is_idempotent(power):
-        exponent, power = exponent + 1, boolean_product(power, matrix)
-    return exponent, power
+    """Least e >= 1 such that matrix^e is idempotent, and the masks of that
+    power's stabilization.  The powers meet the one idempotent of their
+    cycle before they repeat."""
+    exponent, power = 1, matrix.masks
+    while (stable := _stabilized(power)) is None:
+        exponent += 1
+        power = tuple(_or_rows(mask, matrix.masks) for mask in power)
+    return exponent, stable
 
 
 def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
@@ -106,7 +106,7 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
     masks = _stabilized(matrix.masks)
     if masks is None:
         raise IdempotenceError("stabilization is only defined on idempotent matrices")
-    return BooleanMatrix._wrap(masks, matrix.dim)
+    return BooleanMatrix._wrap(masks)
 
 
 def _stabilized(masks: tuple) -> Optional[tuple]:
@@ -165,32 +165,38 @@ class MarkovMonoid:
 
     @functools.cached_property
     def elements(self) -> tuple:
-        """Every element with its witness; each witness shares the nodes of
-        its factors' witnesses."""
-        witnesses = []
-        for origin in self.origins:
-            witnesses.append(_witness_node(origin, witnesses))
+        """Every element with its witness."""
+        witnesses = self._witnesses(range(len(self.origins))).values()
         return tuple(map(MonoidElement, self._matrices(), witnesses))
 
     def element(self, index: int) -> MonoidElement:
         """Element `index`, building only the witnesses that its own is
         built from."""
-        needed, stack = set(), [index]
-        while stack:
-            k = stack.pop()
-            if k not in needed:
-                needed.add(k)
+        # Every factor's index is below its element's, so a descending scan
+        # reaches each element before its factors.
+        needed = {index}
+        for k in range(index, -1, -1):
+            if k in needed:
                 kind, *factors = self.origins[k]
                 if kind is not Letter:
-                    stack += factors
+                    needed.update(factors)
+        witness = self._witnesses(sorted(needed))[index]
+        return MonoidElement(BooleanMatrix._wrap(self.masks[index]), witness)
+
+    def _witnesses(self, indices) -> dict:
+        """Index -> witness, for ascending `indices` that hold the factors of
+        each element they hold; each witness shares its factors' nodes."""
         witnesses = {}
-        for k in sorted(needed):
-            witnesses[k] = _witness_node(self.origins[k], witnesses)
-        masks = self.masks[index]
-        return MonoidElement(BooleanMatrix._wrap(masks, len(masks)), witnesses[index])
+        for k in indices:
+            kind, *factors = self.origins[k]
+            if kind is Letter:
+                witnesses[k] = Letter(*factors)
+            else:
+                witnesses[k] = kind(*map(witnesses.__getitem__, factors))
+        return witnesses
 
     def _matrices(self):
-        return (BooleanMatrix._wrap(masks, len(masks)) for masks in self.masks)
+        return map(BooleanMatrix._wrap, self.masks)
 
     def matrices(self) -> frozenset:
         return frozenset(self._matrices())
@@ -200,14 +206,6 @@ class MarkovMonoid:
 
     def __iter__(self):
         return iter(self.elements)
-
-
-def _witness_node(origin: tuple, witnesses) -> OmegaExpression:
-    # The witness of an element with this origin, given its factors' witnesses.
-    kind, *factors = origin
-    if kind is Letter:
-        return Letter(*factors)
-    return kind(*(witnesses[k] for k in factors))
 
 
 def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple:
@@ -243,8 +241,7 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple
         if matrix.masks not in seen:
             add(matrix.masks, (Letter, letter))
     # Each generator's index with the lookup of its row table.
-    generators = [(k, _row_table(supports[origins[k][1]]).__getitem__)
-                  for k in range(len(table))]
+    generators = [(k, _row_table(table[k]).__getitem__) for k in range(len(table))]
     processed = 0
     while processed < len(table):
         multiply((processed,), generators)
@@ -253,8 +250,7 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple
             stable = _stabilized(table[processed - 1])
             if stable is not None and stable not in seen:
                 add(stable, (Omega, processed - 1))
-                generator = (len(table) - 1,
-                             _row_table(BooleanMatrix._wrap(stable, len(stable))).__getitem__)
+                generator = (len(table) - 1, _row_table(stable).__getitem__)
                 multiply(range(processed), (generator,))
                 generators.append(generator)
     return tuple(table), tuple(origins)
@@ -265,7 +261,7 @@ def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
     projections under boolean product, in discovery order (the letters,
     then each element times each letter)."""
     masks, _ = _saturate(letter_supports(automaton), stabilizing=False)
-    return tuple(BooleanMatrix._wrap(rows, automaton.dim) for rows in masks)
+    return tuple(map(BooleanMatrix._wrap, masks))
 
 
 def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:

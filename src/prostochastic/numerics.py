@@ -19,7 +19,7 @@ from .core import (Concat, Literal, Power, ProbabilisticAutomaton,
                    StochasticMatrix, BooleanMatrix, WordSchedule,
                    schedule_acceptance_probability)
 from .expressions import Letter, Omega, OmegaExpression, Product, postorder
-from .monoid import boolean_projection, idempotent_power, letter_supports, stabilize
+from .monoid import boolean_projection, idempotent_power, letter_supports
 from .omega import boolean_interpretation
 
 NOISE_FLOOR = 1e-13
@@ -62,9 +62,8 @@ def limit_matrix(matrix: StochasticMatrix) -> StochasticMatrix:
     absorption probability into the class times the class's stationary
     distribution.  Transient columns are exact zeros.
     """
-    exponent, support = idempotent_power(boolean_projection(matrix))
+    exponent, stable = idempotent_power(boolean_projection(matrix))
     power = matrix.power(exponent).entries
-    stable = stabilize(support).masks
     # A state is recurrent iff its stable row holds it; that row is then its class.
     classes = dict.fromkeys(mask for t, mask in enumerate(stable) if mask >> t & 1)
     members = np.array([[mask >> t & 1 for t in range(matrix.dim)] for mask in classes], bool)
@@ -120,9 +119,10 @@ def numeric_interpretation(expr: OmegaExpression,
 
     Raises IdempotenceError when some omega node is applied to a
     non-idempotent element (checked symbolically up front, so float noise
-    can never change the answer).
+    can never change the answer), and ValueError when the supports differ:
+    on a long word, entries below the smallest double underflow to 0.
     """
-    boolean_interpretation(expr, letter_supports(automaton))
+    support = boolean_interpretation(expr, letter_supports(automaton))
     values = {}
     for node in postorder(expr):
         if isinstance(node, Letter):
@@ -131,6 +131,10 @@ def numeric_interpretation(expr: OmegaExpression,
             values[node] = values[node.left] @ values[node.right]
         else:   # an omega: `boolean_interpretation` has rejected other nodes
             values[node] = limit_matrix(values[node.child])
+    numeric = boolean_projection(values[expr])
+    if numeric != support:
+        raise ValueError(f"numeric support {numeric.bitstring()} differs from the boolean "
+                         f"interpretation {support.bitstring()}: float underflow")
     return values[expr]
 
 
@@ -196,30 +200,17 @@ class ConvergenceReport:
     extrapolated_limit: float
     rate_fit: Optional[RateFit]
 
-    def iter_rows(self):
-        for sample in self.samples:
-            row = {
-                "n": sample.n,
-                "length": sample.length,
-                "value": sample.value,
-                "error": abs(sample.value - self.extrapolated_limit),
-            }
-            if sample.reference is not None:
-                row["reference"] = sample.reference
-                row["discrepancy"] = sample.discrepancy
-            yield row
-
     def render_text(self) -> str:
         with_reference = any(s.reference is not None for s in self.samples)
         header = ["n", "length", "probability", "error"]
         if with_reference:
             header += ["reference", "discrepancy"]
         lines = ["\t".join(header)]
-        for row in self.iter_rows():
-            cells = [str(row["n"]), str(row["length"]),
-                     f"{row['value']:.12g}", f"{row['error']:.12g}"]
+        for sample in self.samples:
+            cells = [str(sample.n), str(sample.length), f"{sample.value:.12g}",
+                     f"{abs(sample.value - self.extrapolated_limit):.12g}"]
             if with_reference:
-                cells += [f"{row['reference']:.12g}", f"{row['discrepancy']:.12g}"]
+                cells += [f"{sample.reference:.12g}", f"{sample.discrepancy:.12g}"]
             lines.append("\t".join(cells))
         lines.append(f"extrapolated limit: {self.extrapolated_limit:.12g}")
         if self.rate_fit is None:
@@ -297,10 +288,16 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
+    return sweep(automaton, (realize(expr, n) for n in range(1, n_max + 1)))
+
+
+def sweep(automaton: ProbabilisticAutomaton, schedules, references=()) -> ConvergenceReport:
+    """Report the acceptance probabilities of `schedules`, the samples at
+    n = 1, 2, ..., each with the matching entry of `references`, if any."""
     memo = {}   # consecutive n mostly share their factorials and sub-schedules
+    references = iter(references)
     samples = []
-    for n in range(1, n_max + 1):
-        schedule = realize(expr, n)
+    for n, schedule in enumerate(schedules, 1):
         value = schedule_acceptance_probability(automaton, schedule, memo)
-        samples.append(SamplePoint(n, schedule.length, value))
+        samples.append(SamplePoint(n, schedule.length, value, next(references, None)))
     return build_report(samples)

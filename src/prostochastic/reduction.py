@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Concat, Literal, Power, ProbabilisticAutomaton, StochasticMatrix,
-                   acceptance_probability, schedule_acceptance_probability)
-from .numerics import (ConvergenceReport, SamplePoint, build_report,
-                       polynomial_exponent, superpolynomial_exponent)
+                   WordSchedule, acceptance_probability, schedule_acceptance_probability)
+from .numerics import (ConvergenceReport, polynomial_exponent, superpolynomial_exponent,
+                       sweep)
 
 CHECK = "check"
 END = "end"
@@ -195,16 +195,15 @@ def round_schedule(n: int, word_length: int) -> tuple:
     return k, big_n
 
 
-def round_probability_by_matrix(reduction: ReductionOutput, word, k: int, rounds: int,
-                                memo: dict | None = None) -> float:
+def round_word(word, k: int, rounds: int) -> WordSchedule:
+    """The schedule of (check (w end)^k)^rounds."""
+    return Power(Concat(Literal((CHECK,)), Power(Literal(tuple(word) + (END,)), k)), rounds)
+
+
+def round_probability_by_matrix(reduction: ReductionOutput, word, k: int, rounds: int) -> float:
     """Acceptance probability of (check (w end)^k)^rounds on the built
-    automaton, evaluated by structured matrix powering; `memo` is passed to
-    `schedule_matrix`."""
-    word = tuple(word)
-    schedule = Power(
-        Concat(Literal((CHECK,)), Power(Literal(word + (END,)), k)),
-        rounds)
-    return schedule_acceptance_probability(reduction.automaton, schedule, memo)
+    automaton, evaluated by structured matrix powering."""
+    return schedule_acceptance_probability(reduction.automaton, round_word(word, k, rounds))
 
 
 def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
@@ -222,12 +221,8 @@ def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
     x = acceptance_probability(automaton, word)
     if reduction is None:
         reduction = build_reduction(automaton)
-    memo = {}   # consecutive n mostly share k and so the round sub-schedule
-    samples = []
-    for n in range(1, n_max + 1):
-        k, rounds = round_schedule(n, len(word))
-        value = round_probability_by_matrix(reduction, word, k, rounds, memo)
-        reference = round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
-        length = rounds * (1 + k * (len(word) + 1))
-        samples.append(SamplePoint(n, length, value, reference))
-    return build_report(samples)
+    parameters = [round_schedule(n, len(word)) for n in range(1, n_max + 1)]
+    return sweep(reduction.automaton,
+                 [round_word(word, k, rounds) for k, rounds in parameters],
+                 [round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
+                  for k, rounds in parameters])

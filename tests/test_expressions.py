@@ -1,7 +1,9 @@
 """Hash-consed nodes, the post-order walk, and trees deeper than the
 interpreter's recursion limit through every walker."""
 
+import copy
 import gc
+import pickle
 import sys
 import threading
 import weakref
@@ -43,6 +45,20 @@ class TestHashConsing:
         with pytest.raises(AttributeError):
             del node.right
         assert node is Product(Letter("a"), Letter("b"))
+
+    def test_copy_and_pickle_give_the_same_node(self):
+        schedule = Power(Concat(Literal(("a",)), Power(Literal(("a", "b")), 3)), 2 ** 395)
+        assert copy.copy(schedule) is schedule
+        assert copy.deepcopy(schedule) is schedule
+        assert pickle.loads(pickle.dumps(schedule)) is schedule
+
+    def test_pickle_rebuilds_a_freed_tree(self):
+        expr = parse_expression("(gone gone^w)^w", ("gone",))
+        data, freed = pickle.dumps(expr), weakref.ref(expr)
+        del expr
+        assert freed() is None
+        loaded = pickle.loads(data)
+        assert loaded is Omega(Product(Letter("gone"), Omega(Letter("gone"))))
 
     def test_walked_tree_is_freed_by_reference_counting(self):
         gc.disable()
@@ -140,9 +156,9 @@ class TestDeeperThanTheRecursionLimit:
         expr, word = deep_trees()[shape]
         supports = letter_supports(funnel)
         value = boolean_interpretation(expr, supports)
-        numeric = numeric_interpretation(expr, funnel)
         if shape == "omegas":
             # The omega of a limit is that limit again.
+            numeric = numeric_interpretation(expr, funnel)
             limit = numeric_interpretation(Omega(Letter("a")), funnel)
             assert value == boolean_interpretation(Omega(Letter("a")), supports)
             assert np.allclose(numeric.entries, limit.entries)
@@ -151,7 +167,15 @@ class TestDeeperThanTheRecursionLimit:
             for letter in word[1:]:
                 expected = boolean_product(expected, supports[letter])
             assert value == expected
-            assert np.allclose(numeric.entries, funnel.word_matrix(word).entries)
+            # The word holds 2,501 a's, and 0.5^2501 underflows: the walk
+            # ends, and the support lost to the float product is reported.
+            with pytest.raises(ValueError, match="float underflow"):
+                numeric_interpretation(expr, funnel)
+
+    def test_copy_and_pickle_give_the_same_node(self, shape):
+        expr, _ = deep_trees()[shape]
+        assert copy.deepcopy(expr) is expr
+        assert pickle.loads(pickle.dumps(expr)) is expr
 
     def test_realization(self, shape, funnel):
         expr, word = deep_trees()[shape]

@@ -210,7 +210,7 @@ class TestKernelAgainstDenseReference:
         # Saturation's right product: one table lookup per row of the left
         # operand.
         left, right = pair
-        table = monoid_module._row_table(BooleanMatrix(right))
+        table = monoid_module._row_table(BooleanMatrix(right).masks)
         masks = tuple(map(table.__getitem__, BooleanMatrix(left).masks))
         assert masks == BooleanMatrix(reference_product(left, right)).masks
 
@@ -219,7 +219,7 @@ class TestKernelAgainstDenseReference:
     @example((cycle(70), sparse(70, 1)))
     def test_row_table_holds_only_the_masks_asked_for(self, pair):
         left, right = pair
-        table = monoid_module._row_table(BooleanMatrix(right))
+        table = monoid_module._row_table(BooleanMatrix(right).masks)
         assert not table
         asked = BooleanMatrix(left).masks
         for mask in asked + asked:
@@ -259,6 +259,24 @@ class TestKernelAgainstDenseReference:
                     continue
                 assert fused == stabilize(matrix).masks
                 assert fused == BooleanMatrix(reference_stabilize(candidate)).masks
+
+    @settings(deadline=None)
+    @given(dense_pairs(st.sampled_from([*range(1, 10), 70])))
+    @example((cycle(70), None))
+    def test_idempotent_power(self, pair):
+        # The least idempotent power by repeated dense products, then its
+        # stabilization.
+        dense, _ = pair
+        exponent, power = 1, dense
+        while reference_product(power, power) != power:
+            exponent, power = exponent + 1, reference_product(power, dense)
+        expected = (exponent, BooleanMatrix(reference_stabilize(power)).masks)
+        assert monoid_module.idempotent_power(BooleanMatrix(dense)) == expected
+
+    def test_idempotent_power_of_a_cycle_is_its_length(self):
+        exponent, stable = monoid_module.idempotent_power(BooleanMatrix(cycle(70)))
+        assert exponent == 70
+        assert stable == BooleanMatrix.identity(70).masks
 
     def test_state_sharing_its_row_with_a_recurrent_state_is_transient(self):
         # Row 1 is {2} and row 2 is {2}: state 1 has the row of its only

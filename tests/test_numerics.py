@@ -166,6 +166,23 @@ class TestNumericInterpretation:
                 assert limit_projection(numeric_interpretation(expr, automaton)) == expected
         assert checked >= 40
 
+    @pytest.mark.parametrize("text,support", [
+        ("b a^1000", "011011001"),
+        ("(b a^1100)^w", "001001001"),
+    ])
+    def test_long_words_keep_the_boolean_support(self, text, support):
+        funnel = funnel_automaton()
+        result = numeric_interpretation(parse_expression(text, funnel.alphabet), funnel)
+        assert limit_projection(result).bitstring() == support
+
+    def test_underflow_that_clears_a_boolean_entry_raises(self):
+        # 0.5^1100 is below the smallest double, so the chance of still
+        # being in the coin-flipping state after b a^1100 reads as 0.
+        funnel = funnel_automaton()
+        with pytest.raises(ValueError, match="numeric support 001001001 differs from "
+                                             "the boolean interpretation 011011001"):
+            numeric_interpretation(parse_expression("b a^1100", funnel.alphabet), funnel)
+
 
 class TestMonoidElementsAreLimitSupports:
     """The paper's characterization: every element of the Markov monoid is

@@ -243,6 +243,14 @@ class TestVerifyReduction:
         report = verify_reduction(coin_automaton(0.4), ("a",), n_max=6)
         assert all(s.value <= 0.5 + 1e-9 for s in report.samples)
 
+    @pytest.mark.parametrize("word", [("a",), ("a", "a")])
+    def test_sample_lengths_count_the_letters_read(self, word):
+        # Each of the rounds reads check, then k times the word and end.
+        report = verify_reduction(coin_automaton(0.7), word, n_max=6)
+        for n, sample in enumerate(report.samples, start=1):
+            k, rounds = round_schedule(n, len(word))
+            assert sample.length == rounds * (1 + k * (len(word) + 1))
+
     def test_matrix_and_formula_paths_agree(self):
         report = verify_reduction(funnel_automaton(), ("b", "a", "a", "a"), n_max=5)
         for sample in report.samples:
