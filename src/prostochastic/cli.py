@@ -2,7 +2,8 @@
 
 Commands: analyze, monoid, simulate, reduce, example.  Data goes to stdout
 (or the -o file), diagnostics to stderr.  `analyze` exits 0 for YES, 1 for
-NO; every command exits 2 on input errors.
+NO; every command exits 2 on input errors, after writing nothing to stdout
+or the -o file: each command computes its whole answer before it prints.
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ def cmd_analyze(args) -> int:
     if element is None:
         print("NO")
         return EXIT_NO
-    print("YES")
-    print(f"witness: {format_expression(element.witness)}")
+    lines = ["YES", f"witness: {format_expression(element.witness)}"]
     if args.verify:
-        report = estimate_limit(automaton, element.witness, args.mode, args.n_max)
-        print(report.render_text())
+        lines.append(estimate_limit(automaton, element.witness, args.mode, args.n_max).render_text())
+    print("\n".join(lines))
     return EXIT_YES
 
 
@@ -77,11 +77,13 @@ def cmd_simulate(args) -> int:
 def cmd_reduce(args) -> int:
     automaton = load_automaton(args.automaton)
     reduction = build_reduction(automaton)
-    _emit(automaton_to_json(reduction.automaton, state_map=reduction.state_map), args.output)
+    report = None
     if args.word is not None:
         word = parse_word(args.word, automaton.alphabet)
-        report = verify_reduction(automaton, word, n_max=args.n_max, reduction=reduction)
-        print(report.render_text(), file=sys.stderr)
+        report = verify_reduction(automaton, word, n_max=args.n_max, reduction=reduction).render_text()
+    _emit(automaton_to_json(reduction.automaton, state_map=reduction.state_map), args.output)
+    if report is not None:
+        print(report, file=sys.stderr)
     return EXIT_YES
 
 

@@ -20,6 +20,15 @@ from .expressions import Node, postorder
 ROW_SUM_TOLERANCE = 1e-9
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    # A fresh float copy.  Strings and booleans would convert silently, and
+    # integers beyond float range would overflow, so only numeric dtypes pass.
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be integers or floats, got dtype {arr.dtype}")
+    return np.array(arr, dtype=float)
+
+
 class AutomatonFormatError(ValueError):
     """Raised when an automaton file violates the format contract."""
 
@@ -30,7 +39,7 @@ class StochasticMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
+        arr = _float_array(entries, "matrix entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
         # Negated tests, so that NaN fails them.
@@ -213,7 +222,7 @@ class ProbabilisticAutomaton:
                 raise ValueError(f"transition matrix for {letter!r} has dim {matrix.dim}, expected {dim}")
             table[letter] = matrix
 
-        initial = np.array(initial, dtype=float)
+        initial = _float_array(initial, "initial vector")
         if initial.shape != (dim,):
             raise ValueError(f"initial vector must have length {dim}")
         if not np.all(initial >= 0.0):

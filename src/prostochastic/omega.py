@@ -8,18 +8,21 @@ Grammar:
 
 Letters are alphabet tokens (possibly multi-character, matched longest
 first); juxtaposition and '.' both denote the product; whitespace is
-ignored between tokens.  `E^3` is sugar that parses to `E E E`, so
-repair suggestions like `(a^2)^w` are themselves valid input.
+ignored between tokens and after '^'.  INT is decimal digits from 1 to
+MAX_REPEAT (10,000); `E^3` parses to `E E E`, so repairs like `(a^2)^w` parse.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping, Sequence
 
 from .core import BooleanMatrix
 from .expressions import (Letter, Omega, OmegaExpression, Product,
                           format_expression, postorder, product_of)
 from .monoid import IdempotenceError, boolean_product, idempotent_power, stabilize
+
+MAX_REPEAT = 10_000
 
 
 class ExpressionSyntaxError(ValueError):
@@ -29,41 +32,21 @@ class ExpressionSyntaxError(ValueError):
 
 
 def _tokenize(text: str, alphabet: Sequence[str]):
-    letters = sorted(set(alphabet), key=len, reverse=True)
+    letters = "|".join(map(re.escape, sorted(set(alphabet), key=len, reverse=True))) or "(?!)"
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "().":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c == "^":
-            j = i + 1
-            while j < len(text) and text[j].isspace():
-                j += 1
-            if j < len(text) and text[j] == "w":
-                tokens.append(("omega", "^w", i))
-                i = j + 1
-                continue
-            if j < len(text) and text[j].isdigit():
-                k = j
-                while k < len(text) and text[k].isdigit():
-                    k += 1
-                tokens.append(("repeat", int(text[j:k]), i))
-                i = k
-                continue
-            raise ExpressionSyntaxError("expected 'w' or a repetition count after '^'", i)
-        for token in letters:
-            if text.startswith(token, i):
-                tokens.append(("letter", token, i))
-                i += len(token)
-                break
-        else:
-            raise ExpressionSyntaxError(f"unknown letter at {text[i:i + 8]!r}", i)
+    for match in re.finditer(rf"(?P<space>\s+)|(?P<punct>[().])|\^\s*(?:(?P<omega>w)|(?P<repeat>\d+))?"
+                             rf"|(?P<letter>{letters})|.", text):
+        kind, value, position = match.lastgroup, match[0], match.start()
+        if kind in ("punct", "letter"):
+            tokens.append((value if kind == "punct" else kind, value, position))
+        elif kind == "omega":
+            tokens.append((kind, "^w", position))
+        elif kind == "repeat":
+            tokens.append((kind, int(match[kind]), position))
+        elif kind is None:
+            raise ExpressionSyntaxError(
+                "expected 'w' or a repetition count after '^'" if value[0] == "^"
+                else f"unknown letter at {text[position:position + 8]!r}", position)
     return tokens
 
 
@@ -82,6 +65,8 @@ def parse_expression(text: str, alphabet: Sequence[str]) -> OmegaExpression:
             if kind == "repeat":
                 if value < 1:
                     raise ExpressionSyntaxError("repetition count must be >= 1", position)
+                if value > MAX_REPEAT:
+                    raise ExpressionSyntaxError(f"repetition count must be at most {MAX_REPEAT}", position)
                 term = product_of([term] * value)
                 continue
             product = term if product is None else Product(product, term)

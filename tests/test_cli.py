@@ -88,6 +88,13 @@ class TestAnalyze:
         assert "\nextrapolated limit: 1\n" in captured.out
         assert captured.err == ""
 
+    def test_verify_failure_prints_nothing(self, tmp_path, capsys):
+        path = write(tmp_path, "funnel.json", funnel_automaton())
+        assert main(["analyze", path, "--verify", "-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_max" in captured.err
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["analyze", "/nonexistent/automaton.json"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -184,6 +191,13 @@ class TestSimulate:
         assert main(["simulate", path, "-e", "(a"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_huge_repetition_count_exit_2(self, tmp_path, capsys):
+        assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
+        assert main(["simulate", str(tmp_path / "cx.json"), "-e", "a^100000000000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repetition count must be at most 10000 (at position 1)" in captured.err
+
     def test_deeply_nested_expression_exit_0(self, tmp_path, capsys):
         # a^500 is a chain of 500 nested products.
         assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
@@ -263,6 +277,20 @@ class TestReduce:
         path = write(tmp_path, "coin.json", coin_automaton(0.8))
         assert main(["reduce", path, "-w", "a", "-n", "4"]) == 0
         assert len(built) == 1
+
+    @pytest.mark.parametrize("options,message", [
+        (["-w", "a", "-n", "0"], "zero samples"),
+        (["-w", "z"], "unknown letter"),
+    ])
+    def test_verification_failure_writes_nothing(self, tmp_path, capsys, options, message):
+        path = write(tmp_path, "coin.json", coin_automaton(0.8))
+        assert main(["reduce", path, *options]) == 2
+        out_path = tmp_path / "reduced.json"
+        assert main(["reduce", path, *options, "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out_path.exists()
 
     def test_precondition_failure_exit_2(self, tmp_path, capsys):
         bad = coin_automaton(0.8)

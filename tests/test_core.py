@@ -50,6 +50,17 @@ class TestStochasticMatrix:
         with pytest.raises(ValueError, match=r"nan at \(0, 0\)"):
             StochasticMatrix([[float("nan"), 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("entries", [
+        [["0.5", "0.5"], ["1", "0"]],
+        [[True, False], [False, True]],
+        [[10**400, 0], [0, 1]],
+        [[1 + 0j, 0], [0, 1]],
+        [[None, 1.0], [0.0, 1.0]],
+    ])
+    def test_rejects_non_numeric_entries(self, entries):
+        with pytest.raises(ValueError, match="matrix entries must be integers or floats"):
+            StochasticMatrix(entries)
+
     def test_entries_are_immutable(self):
         m = StochasticMatrix(ABSORBING)
         with pytest.raises(ValueError):
@@ -218,6 +229,11 @@ class TestAutomaton:
         with pytest.raises(ValueError, match="initial"):
             ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)},
                                    (float("nan"), 1.0), (True, True))
+
+    @pytest.mark.parametrize("initial", [("1", "0"), (True, False), (10**400, 0)])
+    def test_initial_vector_rejects_non_numbers(self, initial):
+        with pytest.raises(ValueError, match="initial vector must be integers or floats"):
+            ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)}, initial, (True, True))
 
     def test_transitions_required_for_every_letter(self):
         with pytest.raises(ValueError, match="missing transition"):

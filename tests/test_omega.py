@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from prostochastic import (BooleanMatrix, ExpressionSyntaxError,
                            product_of, repair_suggestion)
 
 AB = ("a", "b")
+METACHARACTERS = ("w", "a*", "+", "1x")
 
 UPPER = BooleanMatrix(((1, 1), (0, 1)))
 SWAP = BooleanMatrix(((0, 1), (1, 0)))
@@ -71,11 +74,51 @@ class TestParser:
         ("a . )", 4),
         ("()", 1),
         ("(a b)^w^0", 7),
+        ("a .", 3),
+        ("a^ x", 1),
+        ("a^\u00b2", 1),
+        ("a^10001", 1),
+        ("a^100000000000000000000", 1),
+        ("(a^10000)^ 10001", 9),
     ])
     def test_syntax_errors_carry_positions(self, text, position):
         with pytest.raises(ExpressionSyntaxError) as excinfo:
             parse_expression(text, AB)
         assert excinfo.value.position == position
+
+    @pytest.mark.parametrize("alphabet,text,expected", [
+        (AB, "a^ w", Omega(Letter("a"))),
+        (AB, "a^\t\nw b", Product(Omega(Letter("a")), Letter("b"))),
+        (AB, "a ^ 2", Product(Letter("a"), Letter("a"))),
+        (AB, "b^\n02", Product(Letter("b"), Letter("b"))),
+        (METACHARACTERS, "w^w", Omega(Letter("w"))),
+        (METACHARACTERS, "w ^ w w", Product(Omega(Letter("w")), Letter("w"))),
+        (METACHARACTERS, "a*+ 1x", Product(Product(Letter("a*"), Letter("+")), Letter("1x"))),
+        (METACHARACTERS, "(1x.a*)^2", Product(Product(Letter("1x"), Letter("a*")),
+                                              Product(Letter("1x"), Letter("a*")))),
+    ])
+    def test_scanner_tokens(self, alphabet, text, expected):
+        assert parse_expression(text, alphabet) == expected
+
+    @pytest.mark.parametrize("alphabet,text,message,position", [
+        (AB, "a .", "unexpected end of expression", 3),
+        (AB, "a^ x", "expected 'w' or a repetition count after '^'", 1),
+        (AB, "a^\u00b2", "expected 'w' or a repetition count after '^'", 1),
+        (AB, "a^10001", "repetition count must be at most 10000", 1),
+        (AB, "a^0", "repetition count must be >= 1", 1),
+        (AB, "a b &c", "unknown letter at '&c'", 4),
+        (METACHARACTERS, "a", "unknown letter at 'a'", 0),
+        (METACHARACTERS, "w^1x", "unknown letter at 'x'", 3),
+        (METACHARACTERS, "w^+", "expected 'w' or a repetition count after '^'", 1),
+    ])
+    def test_scanner_diagnostics(self, alphabet, text, message, position):
+        with pytest.raises(ExpressionSyntaxError, match=re.escape(message)) as excinfo:
+            parse_expression(text, alphabet)
+        assert excinfo.value.position == position
+
+    def test_repetition_count_bound(self):
+        # 9,999 left-nested products over one letter.
+        assert expression_depth(parse_expression("a^10000", AB)) == 10000
 
     def test_parentheses_deeper_than_the_recursion_limit(self):
         depth = 20000
@@ -92,6 +135,11 @@ class TestParser:
         assert parse_word("", AB) == ()
         with pytest.raises(ExpressionSyntaxError, match="only contain letters"):
             parse_word("a^w", AB)
+        assert parse_word("w+ 1x\ta*", METACHARACTERS) == ("w", "+", "1x", "a*")
+        with pytest.raises(ExpressionSyntaxError, match="only contain letters, got '\\^w'"):
+            parse_word("a^ w", AB)
+        with pytest.raises(ExpressionSyntaxError, match="only contain letters, got 20000"):
+            parse_word("a^20000", AB)
 
     @given(expr=expressions(AB))
     @settings(max_examples=300)
