@@ -15,8 +15,8 @@ from collections import Counter
 
 from .core import automaton_to_json, load_automaton
 from .expressions import Letter, Omega, Product, format_expression
-from .monoid import (IdempotenceError, find_value1_witness, format_monoid,
-                     letter_supports, markov_monoid)
+from .monoid import (IdempotenceError, _value1_test, find_value1_witness,
+                     format_monoid, letter_supports, markov_monoid)
 from .numerics import MODES, estimate_limit
 from .omega import boolean_interpretation, parse_expression, parse_word, repair_suggestion
 from .reduction import build_reduction, counterexample_automaton, verify_reduction
@@ -36,8 +36,10 @@ def _emit(text: str, output: str | None):
 
 def cmd_analyze(args) -> int:
     automaton = load_automaton(args.automaton)
-    monoid = markov_monoid(automaton)
-    element = find_value1_witness(monoid, automaton)
+    # Saturation stops at the first witness, the one the lookup returns.
+    is_witness = _value1_test(automaton)
+    monoid = markov_monoid(automaton, stop=is_witness)
+    element = find_value1_witness(monoid, automaton, is_witness)
     if element is None:
         print("NO")
         return EXIT_NO

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .core import BooleanMatrix, ProbabilisticAutomaton, StochasticMatrix
 from .expressions import Letter, Omega, OmegaExpression, Product
@@ -151,7 +151,8 @@ class MonoidElement:
 
 @dataclass(frozen=True, eq=False)
 class MarkovMonoid:
-    """The saturated monoid as an element table, in discovery order.
+    """The saturated monoid as an element table, in discovery order; a
+    saturation given a `stop` test may hold only a prefix of it.
 
     Element k is `masks[k]`, its matrix's row masks, and `origins[k]`, how
     it was found: `(Letter, token)`, `(Product, left, right)` with the
@@ -208,7 +209,8 @@ class MarkovMonoid:
         return iter(self.elements)
 
 
-def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple:
+def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool,
+              stop: Optional[Callable[[tuple], bool]] = None) -> tuple:
     """Right Cayley-graph closure of the letter supports (Froidure-Pin);
     returns the element table: each element's masks and origin, as in
     `MarkovMonoid`.
@@ -219,14 +221,21 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple
     which is first multiplied once into the elements already processed.
     Every element is a generator or an element times a generator, so the
     result is closed under product.
+
+    `stop`, when given, is called once on each new element's masks; the
+    first element it accepts ends the saturation, and the table returned
+    ends with that element.  Discovery order does not depend on `stop`, so
+    that table is a prefix of the full one.
     """
     table, origins = [], []
     seen = set()   # the elements' masks
 
     def add(masks, origin):
+        # True when `stop` accepts the new element.
         seen.add(masks)
         table.append(masks)
         origins.append(origin)
+        return stop is not None and stop(masks)
 
     def multiply(lefts, generators):
         # Most products are duplicates; they add nothing.
@@ -234,24 +243,27 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool) -> tuple
             masks = table[left]
             for generator, lookup in generators:
                 product = tuple(map(lookup, masks))
-                if product not in seen:
-                    add(product, (Product, left, generator))
+                if product not in seen and add(product, (Product, left, generator)):
+                    return True
+        return False
 
+    stopped = False
     for letter, matrix in supports.items():
-        if matrix.masks not in seen:
-            add(matrix.masks, (Letter, letter))
+        if matrix.masks not in seen and add(matrix.masks, (Letter, letter)):
+            stopped = True
+            break
     # Each generator's index with the lookup of its row table.
     generators = [(k, _row_table(table[k]).__getitem__) for k in range(len(table))]
     processed = 0
-    while processed < len(table):
-        multiply((processed,), generators)
+    while not stopped and processed < len(table):
+        stopped = multiply((processed,), generators)
         processed += 1
-        if stabilizing:
+        if stabilizing and not stopped:
             stable = _stabilized(table[processed - 1])
             if stable is not None and stable not in seen:
-                add(stable, (Omega, processed - 1))
-                generator = (len(table) - 1, _row_table(stable).__getitem__)
-                multiply(range(processed), (generator,))
+                generator = (len(table), _row_table(stable).__getitem__)
+                stopped = (add(stable, (Omega, processed - 1))
+                           or multiply(range(processed), (generator,)))
                 generators.append(generator)
     return tuple(table), tuple(origins)
 
@@ -264,7 +276,8 @@ def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
     return tuple(map(BooleanMatrix._wrap, masks))
 
 
-def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
+def markov_monoid(automaton: ProbabilisticAutomaton,
+                  stop: Optional[Callable[[tuple], bool]] = None) -> MarkovMonoid:
     """Saturate the letter supports under product and stabilization of
     idempotents.
 
@@ -272,16 +285,25 @@ def markov_monoid(automaton: ProbabilisticAutomaton) -> MarkovMonoid:
     expression that produced it in discovery order: the letters in alphabet
     order, then each element in turn times each generator (the letters, then
     new stabilizations as found) and, if idempotent, its stabilization.
+
+    With `stop`, a test on an element's masks, saturation ends at the first
+    element that passes it: the result is then the prefix of the full
+    monoid's table up to that element, which is its last.  When no element
+    passes, the result is the full monoid.
     """
     supports = letter_supports(automaton)
-    return MarkovMonoid(*_saturate(supports, stabilizing=True), supports)
+    return MarkovMonoid(*_saturate(supports, stabilizing=True, stop=stop), supports)
 
 
-def _value1_test(automaton: ProbabilisticAutomaton):
+def _value1_test(automaton: ProbabilisticAutomaton) -> Callable[[tuple], bool]:
     # The initial support and the rejecting-state mask, computed once; the
-    # test takes a matrix's masks.
+    # test takes a matrix's masks.  `analyze` runs it on each element it
+    # saturates, so one initial state, the usual case, costs one lookup.
     initial = automaton.initial_support()
     rejecting = sum(1 << t for t, accepting in enumerate(automaton.final) if not accepting)
+    if len(initial) == 1:
+        state, = initial
+        return lambda masks: not masks[state] & rejecting
     return lambda masks: not any(masks[s] & rejecting for s in initial)
 
 
@@ -290,11 +312,18 @@ def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) 
     return _value1_test(automaton)(matrix.masks)
 
 
-def find_value1_witness(monoid: MarkovMonoid,
-                        automaton: ProbabilisticAutomaton) -> Optional[MonoidElement]:
+def find_value1_witness(monoid: MarkovMonoid, automaton: ProbabilisticAutomaton,
+                        is_witness: Optional[Callable[[tuple], bool]] = None
+                        ) -> Optional[MonoidElement]:
     """First monoid element (in discovery order) that is a value-1 witness,
-    or None; the algorithm answers YES exactly when one exists."""
-    is_witness = _value1_test(automaton)
+    or None; the algorithm answers YES exactly when one exists.
+
+    `is_witness` is `_value1_test(automaton)` when the caller already built
+    it.  On a monoid saturated with that test as its `stop`, the answer is
+    the same as on the full monoid: the first witness ends the prefix.
+    """
+    if is_witness is None:
+        is_witness = _value1_test(automaton)
     index = next((k for k, masks in enumerate(monoid.masks) if is_witness(masks)), None)
     return None if index is None else monoid.element(index)
 

@@ -14,6 +14,7 @@ MAX_REPEAT (10,000); `E^3` parses to `E E E`, so repairs like `(a^2)^w` parse.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Mapping, Sequence
 
@@ -31,17 +32,28 @@ class ExpressionSyntaxError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str, alphabet: Sequence[str]):
+@functools.lru_cache(maxsize=64)
+def _scanner(alphabet: tuple) -> re.Pattern:
+    """The token pattern of an alphabet, compiled once per alphabet."""
     letters = "|".join(map(re.escape, sorted(set(alphabet), key=len, reverse=True))) or "(?!)"
+    # Leading zeros stay outside `repeat`, so its length bounds the count.
+    return re.compile(rf"(?P<space>\s+)|(?P<punct>[().])|\^\s*(?:(?P<omega>w)|0*(?P<repeat>\d+))?"
+                      rf"|(?P<letter>{letters})|.")
+
+
+def _tokenize(text: str, alphabet: Sequence[str]):
     tokens = []
-    for match in re.finditer(rf"(?P<space>\s+)|(?P<punct>[().])|\^\s*(?:(?P<omega>w)|(?P<repeat>\d+))?"
-                             rf"|(?P<letter>{letters})|.", text):
+    for match in _scanner(tuple(alphabet)).finditer(text):
         kind, value, position = match.lastgroup, match[0], match.start()
         if kind in ("punct", "letter"):
             tokens.append((value if kind == "punct" else kind, value, position))
         elif kind == "omega":
             tokens.append((kind, "^w", position))
         elif kind == "repeat":
+            # More digits than MAX_REPEAT has exceed it; `int` is not asked
+            # to read an unbounded run.
+            if len(match[kind]) > len(str(MAX_REPEAT)):
+                raise ExpressionSyntaxError(f"repetition count must be at most {MAX_REPEAT}", position)
             tokens.append((kind, int(match[kind]), position))
         elif kind is None:
             raise ExpressionSyntaxError(

@@ -68,6 +68,17 @@ def single_state_automaton(accepting=True):
     )
 
 
+def symmetric_group_automaton(n):
+    """a is the n-cycle and b the transposition (0 1); from state 0, with
+    state 1 final.  Its monoid is the symmetric group on n states, and the
+    letter a alone moves state 0 to state 1."""
+    successors = {"a": [(s + 1) % n for s in range(n)], "b": [1, 0] + list(range(2, n))}
+    transitions = {letter: [[float(t == successor[s]) for t in range(n)] for s in range(n)]
+                   for letter, successor in successors.items()}
+    return ProbabilisticAutomaton(tuple(f"s{s}" for s in range(n)), ("a", "b"), transitions,
+                                  (1.0,) + (0.0,) * (n - 1), (False, True) + (False,) * (n - 2))
+
+
 def random_quarter_automaton(rng, n_states, letters=("a", "b")):
     """Random automaton whose transition entries are multiples of 1/4, with a
     unit initial vector and random final set."""

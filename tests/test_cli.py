@@ -4,9 +4,11 @@ import json
 import pytest
 
 from prostochastic import automaton_from_json, automaton_to_json
+from prostochastic import cli
 from prostochastic.cli import main
 from conftest import (absorbing_automaton, coin_automaton, funnel_automaton,
-                      permutation_automaton, single_state_automaton)
+                      permutation_automaton, single_state_automaton,
+                      symmetric_group_automaton)
 
 
 def write(tmp_path, name, automaton):
@@ -22,6 +24,22 @@ class TestAnalyze:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "YES"
         assert out[1] == "witness: a"
+
+    def test_stops_saturating_at_the_first_witness(self, tmp_path, capsys, monkeypatch):
+        # The full monoid is the symmetric group on 8 states, 40,320
+        # elements; its first element, the letter a, is a witness.
+        path = write(tmp_path, "s8.json", symmetric_group_automaton(8))
+        sizes, saturate = [], cli.markov_monoid
+
+        def counting(*args, **kwargs):
+            monoid = saturate(*args, **kwargs)
+            sizes.append(len(monoid))
+            return monoid
+
+        monkeypatch.setattr(cli, "markov_monoid", counting)
+        assert main(["analyze", path]) == 0
+        assert capsys.readouterr().out == "YES\nwitness: a\n"
+        assert sizes == [1]
 
     def test_no_on_counterexample(self, tmp_path, capsys):
         assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0

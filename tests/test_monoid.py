@@ -17,7 +17,7 @@ from prostochastic import (BooleanMatrix, IdempotenceError, Letter, Omega,
 from conftest import (absorbing_automaton, brute_force_word_closure,
                       coin_automaton, funnel_automaton, permutation_automaton,
                       random_quarter_automaton, random_stochastic,
-                      single_state_automaton)
+                      single_state_automaton, symmetric_group_automaton)
 
 UPPER = BooleanMatrix(((1, 1), (0, 1)))
 SWAP = BooleanMatrix(((0, 1), (1, 0)))
@@ -535,3 +535,82 @@ class TestReductionMonoids:
         elements = transition_monoid(automaton)
         assert counts == {"lookups": len(elements) * len(automaton.alphabet) * automaton.dim,
                           "idempotence tests": 0}
+
+
+def sparse_random_automaton(rng):
+    """2-6 states, 1-3 letters; each row, and the initial distribution,
+    puts equal weight on 1 or 2 states; each state is final with
+    probability 0.4."""
+    n, letters = rng.randint(2, 6), ("a", "b", "c")[:rng.randint(1, 3)]
+
+    def spread():
+        support = rng.sample(range(n), rng.choice((1, 2)))
+        return [1.0 / len(support) if t in support else 0.0 for t in range(n)]
+
+    transitions = {letter: [spread() for _ in range(n)] for letter in letters}
+    return ProbabilisticAutomaton(tuple(f"s{s}" for s in range(n)), letters, transitions,
+                                  spread(), [rng.random() < 0.4 for _ in range(n)])
+
+
+def stopped_and_full(automaton):
+    is_witness = monoid_module._value1_test(automaton)
+    return (markov_monoid(automaton, stop=is_witness), markov_monoid(automaton),
+            is_witness)
+
+
+class TestStopAtFirstWitness:
+    def test_stopped_table_is_a_prefix_ending_at_the_witness(self):
+        # Of the 100 random ones, 53 have two initial states.  The first
+        # witness comes before the last element in 42 of the 55 YES
+        # answers, and is a stabilization in 4 of those.
+        seeded = random.Random(7)
+        automata = [funnel_automaton(), absorbing_automaton(), permutation_automaton()]
+        automata += [sparse_random_automaton(seeded) for _ in range(100)]
+        answers = set()
+        for automaton in automata:
+            stopped, full, is_witness = stopped_and_full(automaton)
+            initial = automaton.initial_support()
+            for masks in full.masks:
+                assert is_witness(masks) == all(automaton.final[t] for s in initial
+                                                for t in range(automaton.dim) if masks[s] >> t & 1)
+            size = len(stopped)
+            assert stopped.masks == full.masks[:size]
+            assert stopped.origins == full.origins[:size]
+            witness = find_value1_witness(stopped, automaton, is_witness)
+            expected = find_value1_witness(full, automaton)
+            answers.add(expected is not None)
+            if expected is None:
+                assert witness is None and size == len(full)
+            else:
+                assert is_witness(stopped.masks[-1])
+                assert full.masks.index(expected.matrix.masks) == size - 1
+                assert witness.matrix == expected.matrix
+                assert format_expression(witness.witness) == format_expression(expected.witness)
+        assert answers == {True, False}
+
+    def test_symmetric_group_stops_at_its_first_letter(self):
+        automaton = symmetric_group_automaton(8)
+        stopped, full, is_witness = stopped_and_full(automaton)
+        assert len(full) == 40320   # 8!
+        assert len(stopped) == 1
+        assert find_value1_witness(stopped, automaton, is_witness).witness == Letter("a")
+
+    @pytest.mark.parametrize("name,size", [("accepting state", 12),
+                                           ("deterministic pair", 141)])
+    def test_reduction_stops_at_its_witness(self, name, size):
+        automaton = build_reduction(REDUCTIONS[name][0]()).automaton
+        stopped, full, is_witness = stopped_and_full(automaton)
+        assert (len(stopped), len(full)) == (size, REDUCTIONS[name][1])
+        assert find_value1_witness(stopped, automaton, is_witness) == \
+            find_value1_witness(full, automaton)
+
+    @pytest.mark.parametrize("make", [
+        lambda: counterexample_automaton(0.9),
+        lambda: build_reduction(single_state_automaton(accepting=False)).automaton,
+        lambda: build_reduction(coin_automaton(0.7)).automaton,
+    ], ids=["counterexample", "rejecting state reduction", "coin 0.7 reduction"])
+    def test_no_answer_saturates_fully(self, make):
+        automaton = make()
+        stopped, full, is_witness = stopped_and_full(automaton)
+        assert find_value1_witness(full, automaton) is None
+        assert (stopped.masks, stopped.origins) == (full.masks, full.origins)

@@ -51,6 +51,8 @@ class TestParser:
     def test_repetition_sugar(self):
         assert parse_expression("a^2", AB) == Product(Letter("a"), Letter("a"))
         assert parse_expression("(a^2)^w", AB) == Omega(Product(Letter("a"), Letter("a")))
+        # Leading zeros do not count towards the bound on the digits.
+        assert parse_expression("a^" + "0" * 5000 + "5", AB) == product_of([Letter("a")] * 5)
 
     def test_multicharacter_letters(self):
         alphabet = ("check", "end", "a")
@@ -116,6 +118,14 @@ class TestParser:
             parse_expression(text, alphabet)
         assert excinfo.value.position == position
 
+    @pytest.mark.parametrize("parse", [parse_expression, parse_word])
+    def test_repetition_count_beyond_int_digit_limit(self, parse):
+        # 5,000 digits: more than `int` reads from text by default.
+        with pytest.raises(ExpressionSyntaxError,
+                           match="repetition count must be at most 10000") as excinfo:
+            parse("a b^" + "1" * 5000, AB)
+        assert excinfo.value.position == 3
+
     def test_repetition_count_bound(self):
         # 9,999 left-nested products over one letter.
         assert expression_depth(parse_expression("a^10000", AB)) == 10000
@@ -138,6 +148,8 @@ class TestParser:
         assert parse_word("w+ 1x\ta*", METACHARACTERS) == ("w", "+", "1x", "a*")
         with pytest.raises(ExpressionSyntaxError, match="only contain letters, got '\\^w'"):
             parse_word("a^ w", AB)
+        with pytest.raises(ExpressionSyntaxError, match="only contain letters, got 5"):
+            parse_word("a^" + "0" * 5000 + "5", AB)
         with pytest.raises(ExpressionSyntaxError, match="only contain letters, got 20000"):
             parse_word("a^20000", AB)
 
