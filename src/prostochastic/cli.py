@@ -4,6 +4,11 @@ Commands: analyze, monoid, simulate, reduce, example.  Data goes to stdout
 (or the -o file), diagnostics to stderr.  `analyze` exits 0 for YES, 1 for
 NO; every command exits 2 on input errors, after writing nothing to stdout
 or the -o file: each command computes its whole answer before it prints.
+
+`analyze` and `monoid` decide on supports alone and never import numpy.
+`numerics` and `reduction`, which compute with floats, are imported by the
+commands that use them (`simulate`, `reduce`, `example`, `analyze
+--verify`), when they run.
 """
 
 from __future__ import annotations
@@ -13,13 +18,11 @@ import functools
 import sys
 from collections import Counter
 
-from .core import automaton_to_json, load_automaton
+from .core import MODES, automaton_to_json, load_automaton
 from .expressions import Letter, Omega, Product, format_expression
 from .monoid import (IdempotenceError, _value1_test, find_value1_witness,
                      format_monoid, letter_supports, markov_monoid)
-from .numerics import MODES, estimate_limit
 from .omega import boolean_interpretation, parse_expression, parse_word, repair_suggestion
-from .reduction import build_reduction, counterexample_automaton, verify_reduction
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -45,6 +48,7 @@ def cmd_analyze(args) -> int:
         return EXIT_NO
     lines = ["YES", f"witness: {format_expression(element.witness)}"]
     if args.verify:
+        from .numerics import estimate_limit
         lines.append(estimate_limit(automaton, element.witness, args.mode, args.n_max).render_text())
     print("\n".join(lines))
     return EXIT_YES
@@ -62,6 +66,7 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .numerics import estimate_limit
     automaton = load_automaton(args.automaton)
     expr = parse_expression(args.expression, automaton.alphabet)
     generators = letter_supports(automaton)
@@ -77,6 +82,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .reduction import build_reduction, verify_reduction
     automaton = load_automaton(args.automaton)
     reduction = build_reduction(automaton)
     report = None
@@ -90,6 +96,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_example(args) -> int:
+    from .reduction import counterexample_automaton
     automaton = counterexample_automaton(args.x)
     _emit(automaton_to_json(automaton), args.output)
     return EXIT_YES

@@ -4,6 +4,12 @@ All values are immutable after construction.  Stochastic arithmetic is
 double precision; exponents are arbitrary-precision integers because
 realized schedules routinely involve factorials far beyond any fixed
 width.
+
+Importing this module does not import numpy.  An automaton read from a file
+keeps its checked rows and initial vector as Python floats, which is all the
+boolean side (supports, strictness, JSON output) reads; its ndarrays are
+built, and numpy imported, on the first numeric use (`entries`, `@`,
+`power`, `initial`).
 """
 
 from __future__ import annotations
@@ -11,22 +17,51 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from typing import Iterable, Mapping, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .expressions import Node, postorder
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ROW_SUM_TOLERANCE = 1e-9
+_NUMBER_TYPES = frozenset({int, float})
+_STRICT_ENTRIES = frozenset({0.0, 0.5, 1.0})   # -0.0 is equal, and hashes equal, to 0.0
+
+# The exponent schedules that realize an omega-expression as a word schedule
+# (`numerics.realize_polynomial` and `numerics.realize_superpolynomial`).
+MODES = ("polynomial", "superpolynomial")
 
 
-def _float_array(values, name: str) -> np.ndarray:
-    # A fresh float copy.  Strings and booleans would convert silently, and
-    # integers beyond float range would overflow, so only numeric dtypes pass.
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be integers or floats, got dtype {arr.dtype}")
-    return np.array(arr, dtype=float)
+def _read_only_array(rows) -> np.ndarray:
+    import numpy as np
+    arr = np.array(rows, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _python_value(value):
+    # An ndarray or a numpy scalar as the Python list or number it holds.
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
+def _float_vector(values, name: str) -> tuple:
+    """The entries of a vector as a tuple of floats, checked without numpy.
+
+    An ndarray and its entries read as their Python values, so an array and
+    the list of its entries pass or fail alike.  Strings and booleans would
+    convert silently, and integers beyond float range would overflow, so
+    only ints and floats pass.
+    """
+    entries = list(map(_python_value, _python_value(values)))
+    for value in entries:
+        if type(value) not in _NUMBER_TYPES:
+            raise ValueError(f"{name} must be integers or floats, got {type(value).__name__}")
+    try:
+        return tuple(map(float, entries))
+    except OverflowError:
+        raise ValueError(f"{name} must be integers or floats, "
+                         f"got an integer beyond float range") from None
 
 
 class AutomatonFormatError(ValueError):
@@ -34,12 +69,23 @@ class AutomatonFormatError(ValueError):
 
 
 class StochasticMatrix:
-    """Square matrix with non-negative entries and unit row sums."""
+    """Square matrix with non-negative entries and unit row sums.
 
-    __slots__ = ("_entries",)
+    A matrix holds its entries as a read-only float ndarray, or, when the file
+    loader built it, as the row tuples it checked; the ndarray is then built
+    on first numeric use and kept.
+    """
+
+    __slots__ = ("_rows", "_entries")
 
     def __init__(self, entries):
-        arr = _float_array(entries, "matrix entries")
+        import numpy as np
+        # A fresh float copy.  Strings and booleans would convert silently, and
+        # integers beyond float range would overflow, so only numeric dtypes pass.
+        arr = np.asarray(entries)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"matrix entries must be integers or floats, got dtype {arr.dtype}")
+        arr = np.array(arr, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
         # Negated tests, so that NaN fails them.
@@ -51,38 +97,59 @@ class StochasticMatrix:
         if bad.size:
             raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
         arr.flags.writeable = False
+        self._rows = None
         self._entries = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "StochasticMatrix":
-        # Trusted constructor for arithmetic results (products and powers of
-        # stochastic matrices stay stochastic up to rounding) and for rows
-        # the file loader has already checked: the row-sum check is skipped.
+        # Trusted constructor for arithmetic results, float ndarrays: products
+        # and powers of stochastic matrices stay stochastic up to rounding, so
+        # the row-sum check is skipped.
         matrix = object.__new__(cls)
-        arr = np.asarray(arr, dtype=float)
         arr.flags.writeable = False
+        matrix._rows = None
         matrix._entries = arr
         return matrix
 
     @classmethod
+    def _wrap_rows(cls, rows) -> "StochasticMatrix":
+        # Trusted constructor for rows the file loader has checked: square,
+        # ints and floats in float range, non-negative, unit sums.
+        matrix = object.__new__(cls)
+        matrix._rows = tuple(tuple(map(float, row)) for row in rows)
+        matrix._entries = None
+        return matrix
+
+    @classmethod
     def identity(cls, dim: int) -> "StochasticMatrix":
+        import numpy as np
         return cls._wrap(np.eye(dim))
 
     @property
     def entries(self) -> np.ndarray:
+        """The entries as a read-only float ndarray."""
+        if self._entries is None:
+            self._entries = _read_only_array(self._rows)
         return self._entries
 
     @property
+    def rows(self) -> tuple:
+        """Row tuples of floats."""
+        if self._rows is None:
+            return tuple(map(tuple, self._entries.tolist()))
+        return self._rows
+
+    @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._entries.shape[0] if self._rows is None else len(self._rows)
 
     def __matmul__(self, other: "StochasticMatrix") -> "StochasticMatrix":
         if not isinstance(other, StochasticMatrix):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        # np.dot: the same BLAS product as `@`, with about a third less call overhead at 5x5.
-        return StochasticMatrix._wrap(np.dot(self._entries, other._entries))
+        # ndarray.dot: the same BLAS product as `@`, with about half the call overhead at 5x5.
+        return StochasticMatrix._wrap(self.entries.dot(other.entries))
 
     def power(self, exponent: int, squares: list | None = None) -> "StochasticMatrix":
         """Exponentiation by squaring; the exponent may be a big integer.
@@ -97,14 +164,14 @@ class StochasticMatrix:
         if squares is None:
             squares = []
         if not squares:
-            squares.append(self._entries)
+            squares.append(self.entries)
         # Start from the first power of two the exponent needs, not from I.
         result, e, i = None, int(exponent), 0
         while e:
             if i == len(squares):
-                squares.append(np.dot(squares[-1], squares[-1]))
+                squares.append(squares[-1].dot(squares[-1]))
             if e & 1:
-                result = squares[i] if result is None else np.dot(result, squares[i])
+                result = squares[i] if result is None else result.dot(squares[i])
             e >>= 1
             i += 1
         if result is None:
@@ -112,7 +179,7 @@ class StochasticMatrix:
         return StochasticMatrix._wrap(result)
 
     def __repr__(self):
-        return f"StochasticMatrix({self._entries.tolist()!r})"
+        return f"StochasticMatrix({list(map(list, self.rows))!r})"
 
 
 class BooleanMatrix:
@@ -196,7 +263,8 @@ class ProbabilisticAutomaton:
     ``( ) . ^``.
     """
 
-    __slots__ = ("_states", "_alphabet", "_transitions", "_initial", "_final", "_final_vector")
+    __slots__ = ("_states", "_alphabet", "_transitions", "_initial", "_final",
+                 "_initial_array", "_final_array")
 
     _RESERVED = set("().^")
 
@@ -222,14 +290,15 @@ class ProbabilisticAutomaton:
                 raise ValueError(f"transition matrix for {letter!r} has dim {matrix.dim}, expected {dim}")
             table[letter] = matrix
 
-        initial = _float_array(initial, "initial vector")
-        if initial.shape != (dim,):
+        initial = _float_vector(initial, "initial vector")
+        if len(initial) != dim:
             raise ValueError(f"initial vector must have length {dim}")
-        if not np.all(initial >= 0.0):
+        # A negated test, so that NaN fails it.
+        if not all(map((0.0).__le__, initial)):
             raise ValueError("initial vector has a negative or NaN entry")
-        if not abs(initial.sum() - 1.0) <= ROW_SUM_TOLERANCE:
-            raise ValueError(f"initial vector sums to {initial.sum()!r}, expected 1")
-        initial.flags.writeable = False
+        total = sum(initial)
+        if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
+            raise ValueError(f"initial vector sums to {total!r}, expected 1")
 
         final = tuple(bool(v) for v in final)
         if len(final) != dim:
@@ -240,9 +309,7 @@ class ProbabilisticAutomaton:
         self._transitions = table
         self._initial = initial
         self._final = final
-        final_vector = np.array([1.0 if v else 0.0 for v in final])
-        final_vector.flags.writeable = False
-        self._final_vector = final_vector
+        self._initial_array = self._final_array = None
 
     @property
     def states(self) -> tuple:
@@ -254,7 +321,17 @@ class ProbabilisticAutomaton:
 
     @property
     def initial(self) -> np.ndarray:
-        return self._initial
+        """The initial distribution as a read-only float ndarray."""
+        if self._initial_array is None:
+            self._initial_array = _read_only_array(self._initial)
+        return self._initial_array
+
+    @property
+    def _final_vector(self) -> np.ndarray:
+        # The 0/1 indicator of the final states, as a read-only float ndarray.
+        if self._final_array is None:
+            self._final_array = _read_only_array([1.0 if v else 0.0 for v in self._final])
+        return self._final_array
 
     @property
     def final(self) -> tuple:
@@ -272,7 +349,7 @@ class ProbabilisticAutomaton:
 
     def initial_support(self) -> tuple:
         """Indices of states carrying positive initial probability."""
-        return tuple(int(i) for i in np.nonzero(self._initial > 0.0)[0])
+        return tuple(s for s, mass in enumerate(self._initial) if mass > 0.0)
 
     def word_matrix(self, word: Iterable[str]) -> StochasticMatrix:
         """Product of the letter matrices; the empty word maps to identity."""
@@ -284,11 +361,8 @@ class ProbabilisticAutomaton:
     @property
     def is_strict(self) -> bool:
         """True when every transition entry lies in {0, 1/2, 1}."""
-        for matrix in self._transitions.values():
-            entries = matrix.entries
-            if not np.all((entries == 0.0) | (entries == 0.5) | (entries == 1.0)):
-                return False
-        return True
+        return all(_STRICT_ENTRIES.issuperset(row)
+                   for matrix in self._transitions.values() for row in matrix.rows)
 
     def __repr__(self):
         return (f"ProbabilisticAutomaton(states={self._states!r}, "
@@ -402,10 +476,10 @@ def automaton_to_json(automaton: ProbabilisticAutomaton, state_map: Mapping | No
     payload = {
         "states": list(automaton.states),
         "alphabet": list(automaton.alphabet),
-        "initial": [float(v) for v in automaton.initial],
+        "initial": list(automaton._initial),
         "final": list(automaton.final),
         "transitions": {
-            letter: [[float(v) for v in row] for row in automaton.transition(letter).entries]
+            letter: list(map(list, automaton.transition(letter).rows))
             for letter in automaton.alphabet
         },
         "strict": automaton.is_strict,
@@ -419,9 +493,6 @@ def automaton_to_json(automaton: ProbabilisticAutomaton, state_map: Mapping | No
 def _require(condition, message):
     if not condition:
         raise AutomatonFormatError(message)
-
-
-_NUMBER_TYPES = frozenset({int, float})
 
 
 def _all_numbers(values: list) -> bool:
@@ -484,7 +555,7 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
                 problem = f"sums to {sum(row)!r}, expected 1"
             if problem:
                 raise AutomatonFormatError(f"letter {letter!r}, row {i} ({states[i]!r}): {problem}")
-        transitions[letter] = StochasticMatrix._wrap(rows)
+        transitions[letter] = StochasticMatrix._wrap_rows(rows)
 
     try:
         automaton = ProbabilisticAutomaton(states, alphabet, transitions, initial, final)

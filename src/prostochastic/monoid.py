@@ -27,7 +27,7 @@ def boolean_projection(matrix: StochasticMatrix) -> BooleanMatrix:
     """Support of a stochastic matrix: 1 exactly where the entry is positive."""
     return BooleanMatrix._wrap(tuple(
         sum(1 << t for t, v in enumerate(row) if v > 0.0)
-        for row in matrix.entries.tolist()
+        for row in matrix.rows
     ))
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Concat, Literal, Power, ProbabilisticAutomaton,
+from .core import (MODES, Concat, Literal, Power, ProbabilisticAutomaton,
                    StochasticMatrix, BooleanMatrix, WordSchedule,
                    schedule_acceptance_probability)
 from .expressions import Letter, Omega, OmegaExpression, Product, postorder
@@ -23,8 +23,6 @@ from .monoid import boolean_projection, idempotent_power, letter_supports
 from .omega import boolean_interpretation
 
 NOISE_FLOOR = 1e-13
-
-MODES = ("polynomial", "superpolynomial")
 
 
 def polynomial_exponent(n: int) -> int:

@@ -1,6 +1,8 @@
 """Shared corpus: small hand-built automata with known behaviour, plus
 seeded random generators used by the property suites."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -153,29 +155,23 @@ def power_exponents(monkeypatch):
     return exponents
 
 
-class _SquaringCounter:
-    """Stands in for numpy inside `core`, counting the products of an array
-    with itself."""
-
-    def __init__(self):
-        self.squarings = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def dot(self, left, right):
-        self.squarings += left is right
-        return np.dot(left, right)
-
-
 @pytest.fixture
 def matrix_squarings(monkeypatch):
-    """Counter of the matrix squarings `core` performs during the test; read
-    its `squarings` attribute."""
-    from prostochastic import core
+    """Counter of the matrix squarings `StochasticMatrix.power` performs
+    during the test; read its `squarings` attribute.  Each squaring appends
+    one matrix to the squaring chain the call is given or starts."""
+    counter = types.SimpleNamespace(squarings=0)
+    original = StochasticMatrix.power
 
-    counter = _SquaringCounter()
-    monkeypatch.setattr(core, "np", counter)
+    def counting(self, exponent, squares=None):
+        squares = [] if squares is None else squares
+        known = max(len(squares), 1)   # an empty chain starts from the matrix itself
+        try:
+            return original(self, exponent, squares)
+        finally:
+            counter.squarings += len(squares) - known
+
+    monkeypatch.setattr(StochasticMatrix, "power", counting)
     return counter
 
 

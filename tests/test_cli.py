@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from prostochastic import automaton_from_json, automaton_to_json
+from prostochastic import automaton_from_json, automaton_to_json, counterexample_automaton
 from prostochastic import cli
 from prostochastic.cli import main
 from conftest import (absorbing_automaton, coin_automaton, funnel_automaton,
@@ -280,7 +283,7 @@ class TestReduce:
         assert "extrapolated limit:" in captured.err
 
     def test_verification_builds_the_reduction_once(self, tmp_path, capsys, monkeypatch):
-        import prostochastic.cli as cli_module
+        # `reduce` imports `build_reduction` from its module when it runs.
         import prostochastic.reduction as reduction_module
 
         built = []
@@ -290,7 +293,6 @@ class TestReduce:
             built.append(automaton)
             return original(automaton)
 
-        monkeypatch.setattr(cli_module, "build_reduction", counting)
         monkeypatch.setattr(reduction_module, "build_reduction", counting)
         path = write(tmp_path, "coin.json", coin_automaton(0.8))
         assert main(["reduce", path, "-w", "a", "-n", "4"]) == 0
@@ -339,3 +341,53 @@ class TestExample:
         loaded = automaton_from_json(capsys.readouterr().out)
         assert loaded.dim == 5
         assert loaded.is_strict
+
+
+class TestColdStart:
+    """Each command in a fresh interpreter: `analyze` and `monoid` decide on
+    supports alone and never import numpy; the numeric commands import it
+    when they run."""
+
+    SCRIPT = ("import json, sys\n"
+              "import prostochastic.cli as cli\n"
+              "loaded = ['numpy' in sys.modules]\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    code = cli.main(argv)\n"
+              "    loaded.append(['numpy' in sys.modules, code])\n"
+              "print(json.dumps(loaded))\n")
+
+    def run(self, commands, cwd):
+        import prostochastic
+        src = os.path.dirname(os.path.dirname(prostochastic.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+                              cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()
+
+    def test_analyze_and_monoid_leave_numpy_unloaded(self, tmp_path):
+        yes = write(tmp_path, "yes.json", absorbing_automaton())
+        no = write(tmp_path, "no.json", counterexample_automaton(0.9))
+        out = self.run([["analyze", yes], ["analyze", no], ["monoid", no], ["monoid", yes]],
+                       tmp_path)
+        assert out[:2] == ["YES", "witness: a^w"]
+        assert out[2] == "NO"
+        assert json.loads(out[-1]) == [False, [False, 0], [False, 1], [False, 0], [False, 0]]
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["analyze", "yes.json", "--verify", "-n", "3"], "extrapolated limit:"),
+        (["simulate", "cx.json", "-e", "b a^w", "-n", "3"], "extrapolated limit:"),
+        (["reduce", "coin.json", "-w", "a", "-n", "3", "-o", "reduced.json"], None),
+        (["example", "-x", "0.9"], '"states": ['),
+    ], ids=["analyze-verify", "simulate", "reduce", "example"])
+    def test_numeric_commands_import_numpy_when_they_run(self, tmp_path, argv, expected):
+        write(tmp_path, "yes.json", absorbing_automaton())
+        write(tmp_path, "cx.json", counterexample_automaton(0.9))
+        write(tmp_path, "coin.json", coin_automaton(0.8))
+        out = self.run([argv], tmp_path)
+        assert json.loads(out[-1]) == [False, [True, 0]]
+        if expected is not None:
+            assert expected in "\n".join(out[:-1])
+        else:
+            assert automaton_from_json((tmp_path / "reduced.json").read_text()).dim == 9

@@ -235,6 +235,39 @@ class TestAutomaton:
         with pytest.raises(ValueError, match="initial vector must be integers or floats"):
             ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)}, initial, (True, True))
 
+    @pytest.mark.parametrize("initial,message", [
+        (["1", "0"], "initial vector must be integers or floats, got str"),
+        ([True, False], "initial vector must be integers or floats, got bool"),
+        ([10**400, 0], "initial vector must be integers or floats, "
+                       "got an integer beyond float range"),
+        ([float("nan"), 1.0], "initial vector has a negative or NaN entry"),
+        ([1.5, -0.5], "initial vector has a negative or NaN entry"),
+        ([1.0], "initial vector must have length 2"),
+        ([1.0, 0.0, 0.0], "initial vector must have length 2"),
+        ([0.6, 0.6], "initial vector sums to 1.2, expected 1"),
+    ], ids=["strings", "booleans", "huge-integer", "nan", "negative", "short", "long",
+            "bad-sum"])
+    def test_list_and_ndarray_initial_get_identical_errors(self, initial, message):
+        errors = []
+        for value in (initial, tuple(initial), np.array(initial)):
+            with pytest.raises(ValueError) as caught:
+                ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)}, value, (True, True))
+            errors.append(str(caught.value))
+        assert errors == [message] * 3
+
+    @pytest.mark.parametrize("initial", [
+        [0, 1], (0.0, 1.0), np.array([0, 1]), np.array([0.0, 1.0]),
+        np.array([0.0, 1.0], dtype=np.float32), [np.int64(0), np.float64(1.0)],
+    ])
+    def test_initial_accepts_ints_floats_and_numpy_numbers(self, initial):
+        automaton = ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)}, initial,
+                                           (False, True))
+        assert automaton.initial.dtype == float
+        assert automaton.initial.tolist() == [0.0, 1.0]
+        assert automaton.initial_support() == (1,)
+        with pytest.raises(ValueError):
+            automaton.initial[0] = 1.0
+
     def test_transitions_required_for_every_letter(self):
         with pytest.raises(ValueError, match="missing transition"):
             ProbabilisticAutomaton(("s",), ("a", "b"), {"a": [[1.0]]}, (1.0,), (True,))
@@ -398,3 +431,54 @@ class TestFileFormat:
     def test_not_json(self):
         with pytest.raises(AutomatonFormatError, match="JSON"):
             automaton_from_json("not json at all")
+
+
+class TestRowReaders:
+    """`is_strict` and `boolean_projection` read a matrix's rows in pure
+    Python; the numpy definitions are the reference."""
+
+    @staticmethod
+    def automata():
+        from prostochastic import build_reduction
+        from conftest import coin_automaton
+        built = [build_reduction(coin_automaton(x)).automaton for x in (0.5, 0.7, 0.8, 1.0)]
+        rng = np.random.default_rng(1919)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            grain = int(rng.choice((1, 2, 3, 4, 10)))
+            transitions = {letter: rng.multinomial(grain, np.full(n, 1.0 / n), size=n) / grain
+                           for letter in ("a", "b")}
+            initial = np.zeros(n)
+            initial[rng.integers(n)] = 1.0
+            built.append(ProbabilisticAutomaton([f"s{i}" for i in range(n)], ("a", "b"),
+                                                transitions, initial, [True] * n))
+        # Each as built, holding ndarrays, and as loaded, holding the checked rows.
+        return built + [automaton_from_json(automaton_to_json(a)) for a in built]
+
+    def test_is_strict_matches_numpy(self):
+        verdicts = []
+        for automaton in self.automata():
+            expected = all(bool(np.all((e == 0.0) | (e == 0.5) | (e == 1.0)))
+                           for e in (automaton.transition(a).entries for a in automaton.alphabet))
+            assert automaton.is_strict == expected
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_boolean_projection_matches_numpy(self):
+        from prostochastic import boolean_projection
+        for automaton in self.automata():
+            for letter in automaton.alphabet:
+                matrix = automaton.transition(letter)
+                expected = BooleanMatrix((matrix.entries > 0.0).astype(int).tolist())
+                assert boolean_projection(matrix) == expected
+
+    def test_loaded_rows_are_floats(self):
+        text = ('{"states": ["s0", "s1"], "alphabet": ["a"], "initial": [1, 0], '
+                '"final": [false, true], "transitions": {"a": [[0, 1], [0.5, 0.5]]}}')
+        automaton = automaton_from_json(text)
+        matrix = automaton.transition("a")
+        assert matrix.rows == ((0.0, 1.0), (0.5, 0.5))
+        assert all(type(v) is float for row in matrix.rows for v in row)
+        assert matrix.entries.tolist() == [list(row) for row in matrix.rows]
+        assert repr(matrix) == "StochasticMatrix([[0.0, 1.0], [0.5, 0.5]])"
+        assert automaton.initial.tolist() == [1.0, 0.0]
