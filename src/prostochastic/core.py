@@ -95,7 +95,7 @@ class StochasticMatrix:
         sums = arr.sum(axis=1)
         bad = np.where(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))[0]
         if bad.size:
-            raise ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, expected 1")
+            raise ValueError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}, expected 1")
         arr.flags.writeable = False
         self._rows = None
         self._entries = arr
@@ -158,6 +158,13 @@ class StochasticMatrix:
         extended in place as far as the exponent needs, so callers that
         power one matrix repeatedly share the squarings.  An empty or
         absent list starts from this matrix.
+
+        Each new square is divided by its row sums, so rounding does not
+        double the row-sum error at every squaring.  When a new square
+        equals its predecessor S bit for bit, every later square would be S
+        again: the chain closes by appending S itself, and a power whose
+        exponent reaches past S multiplies its low-bit product by S once.
+        A periodic base never closes and keeps the full chain.
         """
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
@@ -168,10 +175,17 @@ class StochasticMatrix:
         # Start from the first power of two the exponent needs, not from I.
         result, e, i = None, int(exponent), 0
         while e:
-            if i == len(squares):
-                squares.append(squares[-1].dot(squares[-1]))
+            square = squares[i]
+            if e > 1:
+                if i + 1 == len(squares):
+                    following = square.dot(square)
+                    following /= following.sum(axis=1, keepdims=True)
+                    squares.append(square if following.tobytes() == square.tobytes()
+                                   else following)
+                if squares[i + 1] is square:
+                    e = 1   # the chain is closed at its fixed point
             if e & 1:
-                result = squares[i] if result is None else result.dot(squares[i])
+                result = square if result is None else result.dot(square)
             e >>= 1
             i += 1
         if result is None:

@@ -291,11 +291,17 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
 
 def sweep(automaton: ProbabilisticAutomaton, schedules, references=()) -> ConvergenceReport:
     """Report the acceptance probabilities of `schedules`, the samples at
-    n = 1, 2, ..., each with the matching entry of `references`, if any."""
+    n = 1, 2, ..., each with the matching entry of `references`, if any.
+
+    Equal schedules are one node, so each distinct schedule is evaluated
+    once and its value reused for every sample that repeats it."""
     memo = {}   # consecutive n mostly share their factorials and sub-schedules
+    values = {}
     references = iter(references)
     samples = []
     for n, schedule in enumerate(schedules, 1):
-        value = schedule_acceptance_probability(automaton, schedule, memo)
+        value = values.get(schedule)
+        if value is None:
+            value = values[schedule] = schedule_acceptance_probability(automaton, schedule, memo)
         samples.append(SamplePoint(n, schedule.length, value, next(references, None)))
     return build_report(samples)

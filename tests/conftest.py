@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from prostochastic import ProbabilisticAutomaton, StochasticMatrix
+from prostochastic import ProbabilisticAutomaton, StochasticMatrix, numerics
 
 
 def absorbing_automaton():
@@ -156,10 +156,26 @@ def power_exponents(monkeypatch):
 
 
 @pytest.fixture
+def schedule_evaluations(monkeypatch):
+    """Every schedule whose acceptance probability `numerics.sweep`
+    evaluates during the test, in order."""
+    schedules = []
+    original = numerics.schedule_acceptance_probability
+
+    def counting(automaton, schedule, memo=None):
+        schedules.append(schedule)
+        return original(automaton, schedule, memo)
+
+    monkeypatch.setattr(numerics, "schedule_acceptance_probability", counting)
+    return schedules
+
+
+@pytest.fixture
 def matrix_squarings(monkeypatch):
     """Counter of the matrix squarings `StochasticMatrix.power` performs
     during the test; read its `squarings` attribute.  Each squaring appends
-    one matrix to the squaring chain the call is given or starts."""
+    one matrix to the squaring chain the call is given or starts; the one
+    that closes a chain appends its predecessor again."""
     counter = types.SimpleNamespace(squarings=0)
     original = StochasticMatrix.power
 
@@ -177,8 +193,8 @@ def matrix_squarings(monkeypatch):
 
 def squaring_chain_lengths(schedules):
     """Squarings needed by the `Power` nodes of `schedules` when each base
-    keeps one chain: per distinct base, the largest exponent's bit length
-    minus 1."""
+    keeps one chain and no chain closes: per distinct base, the largest
+    exponent's bit length minus 1."""
     largest = {}
     for node in set().union(*(power_nodes(schedule) for schedule in schedules)):
         largest[node.child] = max(largest.get(node.child, 0), node.exponent)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from prostochastic import automaton_from_json, automaton_to_json, counterexample_automaton
+from prostochastic import (ProbabilisticAutomaton, automaton_from_json, automaton_to_json,
+                           counterexample_automaton)
 from prostochastic import cli
 from prostochastic.cli import main
 from conftest import (absorbing_automaton, coin_automaton, funnel_automaton,
@@ -200,6 +201,14 @@ class TestSimulate:
         out = capsys.readouterr().out
         extrapolated = float(out.splitlines()[-2].split(": ")[1])
         assert extrapolated < 1.0
+
+    def test_superpolynomial_limit_survives_huge_exponents(self, tmp_path, capsys):
+        # a^(k!) tends to the stationary mass of state 1, 0.625, for k! up to 2^395.
+        automaton = ProbabilisticAutomaton(("s0", "s1"), ("a",), {"a": [[0.5, 0.5], [0.3, 0.7]]},
+                                           (1.0, 0.0), (False, True))
+        path = write(tmp_path, "mix.json", automaton)
+        assert main(["simulate", path, "-e", "a^w", "-m", "superpolynomial", "-n", "40"]) == 0
+        assert "extrapolated limit: 0.625\n" in capsys.readouterr().out
 
     def test_idempotence_diagnostic_suggests_repair(self, tmp_path, capsys):
         path = write(tmp_path, "perm.json", permutation_automaton())

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 import random
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ class TestStochasticMatrix:
             StochasticMatrix([[1.5, -0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="square"):
             StochasticMatrix([[1.0, 0.0]])
+
+    def test_row_sum_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as info:
+            StochasticMatrix([[1.0, 0.0], [0.3, 0.3]])
+        assert str(info.value) == "row 1 sums to 0.6, expected 1"
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match=r"nan at \(0, 0\)"):
@@ -156,35 +162,7 @@ class TestMatrixPower:
         with pytest.raises(ValueError):
             StochasticMatrix.identity(2).power(-1)
 
-    def test_bit_identical_to_squaring_from_the_identity(self, rng):
-        def reference(entries, e):
-            result, base = np.eye(len(entries)), entries
-            while e:
-                if e & 1:
-                    result = result @ base
-                e >>= 1
-                if e:
-                    base = base @ base
-            return result
-
-        for _ in range(30):
-            m = random_stochastic(rng, int(rng.integers(1, 6)))
-            for e in (1, 2, 3, 7, 8, 720, int(rng.integers(1, 2 ** 40)), 3 * 2 ** 30 + 5):
-                assert np.array_equal(m.power(e).entries, reference(m.entries, e)), e
-
-    def test_shared_chain_bit_identical_to_plain_squaring(self, rng):
-        # Starts from the first power of two the exponent needs: from the
-        # identity, an entry that overflowed to inf would turn into NaN.
-        def reference(entries, e):
-            result, base = None, entries
-            while e:
-                if e & 1:
-                    result = base if result is None else result @ base
-                e >>= 1
-                if e:
-                    base = base @ base
-            return result
-
+    def test_shared_chain_bit_identical_to_a_fresh_chain(self, rng):
         shuffler = random.Random(8)
         for dim in range(1, 10):
             for _ in range(4):
@@ -193,12 +171,59 @@ class TestMatrixPower:
                              shuffler.getrandbits(395), 2 ** 395 - 1, 2 ** 395]
                 shuffler.shuffle(exponents)
                 squares = []    # one chain for every exponent, called in shuffled order
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for e in exponents:
-                        expected = reference(m.entries, e).tobytes()
-                        assert m.power(e).entries.tobytes() == expected, (dim, e)
-                        assert m.power(e, squares).entries.tobytes() == expected, (dim, e)
-                assert len(squares) == 396
+                for e in exponents:
+                    expected = m.power(e).entries.tobytes()
+                    assert m.power(e, squares).entries.tobytes() == expected, (dim, e)
+
+    def test_accurate_against_a_decimal_oracle(self, rng):
+        shuffler = random.Random(5)
+        exponents = [1, 2, 3, 7, 8, 720, 3 * 2 ** 30 + 5, 2 ** 395 - 1, 2 ** 395]
+        for dim in range(1, 6):
+            for _ in range(2):
+                m = random_stochastic(rng, dim)
+                oracle = DecimalChain(m.rows)
+                for e in exponents + [shuffler.getrandbits(40), shuffler.getrandbits(395)]:
+                    error = np.abs(m.power(e).entries - oracle.power(e)).max()
+                    assert error <= 1e-14, (dim, e, error)
+        # The 3-cycle s -> s + 1: its squares alternate between P^2 and P,
+        # so its chain never closes and its powers stay exact permutations.
+        cycle = StochasticMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        oracle, squares = DecimalChain(cycle.rows), []
+        for e in exponents + [shuffler.getrandbits(395)]:
+            result = cycle.power(e, squares).entries
+            assert np.array_equal(result, oracle.power(e)), e
+            assert np.array_equal(result, np.linalg.matrix_power(cycle.entries, e % 3)), e
+        assert len(squares) == 396
+        assert all(a is not b for a, b in zip(squares, squares[1:]))
+
+
+class DecimalChain:
+    """Powers of a stochastic matrix in 60-digit decimal arithmetic, by
+    squaring, each square divided by its row sums."""
+
+    CONTEXT = Context(prec=60)
+
+    def __init__(self, rows):
+        self.squares = [[[Decimal(v) for v in row] for row in rows]]
+
+    def product(self, left, right):
+        with localcontext(self.CONTEXT):
+            return [[sum(a * b for a, b in zip(row, column)) for column in zip(*right)]
+                    for row in left]
+
+    def power(self, exponent):
+        result, i = None, 0
+        while exponent:
+            if i == len(self.squares):
+                square = self.product(self.squares[-1], self.squares[-1])
+                with localcontext(self.CONTEXT):
+                    self.squares.append([[v / sum(row) for v in row] for row in square])
+            if exponent & 1:
+                square = self.squares[i]
+                result = square if result is None else self.product(result, square)
+            exponent >>= 1
+            i += 1
+        return np.array([[float(v) for v in row] for row in result])
 
 
 class TestAutomaton:

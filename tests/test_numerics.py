@@ -327,8 +327,16 @@ class TestSweepMemo:
         automaton = counterexample_automaton(0.9)
         expr = parse_expression("(b a^w)^w", automaton.alphabet)
         estimate_limit(automaton, expr, "superpolynomial", 40)
-        expected = squaring_chain_lengths(realize_superpolynomial(expr, n) for n in range(1, 41))
-        assert matrix_squarings.squarings == expected == 1112
+        full = squaring_chain_lengths(realize_superpolynomial(expr, n) for n in range(1, 41))
+        assert (matrix_squarings.squarings, full) == (62, 1112)
+
+    def test_one_evaluation_per_distinct_schedule(self, schedule_evaluations):
+        automaton = counterexample_automaton(0.9)
+        expr = parse_expression("(b a^w)^w", automaton.alphabet)
+        estimate_limit(automaton, expr, "superpolynomial", 40)
+        distinct = {realize_superpolynomial(expr, n) for n in range(1, 41)}
+        assert len(schedule_evaluations) == len(set(schedule_evaluations)) == len(distinct) == 11
+        assert set(schedule_evaluations) == distinct
 
     @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
                                               ("superpolynomial", realize_superpolynomial)])

@@ -256,6 +256,14 @@ class TestVerifyReduction:
         for sample in report.samples:
             assert sample.discrepancy <= 1e-9
 
+    def test_coin_grid_matches_the_round_formula_to_rounding(self):
+        # Factorial round counts run to 30!: unnormalized squaring drifted 3.9e-10.
+        worst = max(sample.discrepancy
+                    for x in (0.2, 0.45, 0.55, 0.7, 0.8)
+                    for word in (("a",), ("a", "a"))
+                    for sample in verify_reduction(coin_automaton(x), word, n_max=30).samples)
+        assert worst <= 1e-15
+
     def test_agreement_on_explicit_round_grid(self, rng):
         # Two independent evaluation paths across k, N up to 10^3.
         from prostochastic import acceptance_probability
@@ -292,8 +300,14 @@ class TestVerifySweepMemo:
 
     def test_one_squaring_chain_per_distinct_base(self, matrix_squarings):
         verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
-        expected = squaring_chain_lengths(schedule for _, schedule in self.round_schedules())
-        assert matrix_squarings.squarings == expected == 197
+        full = squaring_chain_lengths(schedule for _, schedule in self.round_schedules())
+        assert (matrix_squarings.squarings, full) == (56, 197)
+
+    def test_one_evaluation_per_distinct_schedule(self, schedule_evaluations):
+        verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        distinct = {schedule for _, schedule in self.round_schedules()}
+        assert len(schedule_evaluations) == len(set(schedule_evaluations)) == len(distinct) == 7
+        assert set(schedule_evaluations) == distinct
 
     @pytest.mark.parametrize("x", [0.4, 0.7])
     def test_samples_equal_single_schedule_values(self, x):
