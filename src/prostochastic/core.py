@@ -5,11 +5,11 @@ double precision; exponents are arbitrary-precision integers because
 realized schedules routinely involve factorials far beyond any fixed
 width.
 
-Importing this module does not import numpy.  An automaton read from a file
-keeps its checked rows and initial vector as Python floats, which is all the
-boolean side (supports, strictness, JSON output) reads; its ndarrays are
-built, and numpy imported, on the first numeric use (`entries`, `@`,
-`power`, `initial`).
+Importing this module, and building matrices and automata from Python
+numbers or a file, does not import numpy.  They keep their checked rows and
+initial vector as Python floats, which is all the boolean side (supports,
+strictness, JSON output) reads; their ndarrays are built, and numpy
+imported, on the first numeric use (`entries`, `@`, `power`, `initial`).
 """
 
 from __future__ import annotations
@@ -26,11 +26,46 @@ if TYPE_CHECKING:
 
 ROW_SUM_TOLERANCE = 1e-9
 _NUMBER_TYPES = frozenset({int, float})
+_NOT_A_NUMBER = frozenset({"type", "nan", "range"})   # `_entry_fault`'s faults of non-numbers
 _STRICT_ENTRIES = frozenset({0.0, 0.5, 1.0})   # -0.0 is equal, and hashes equal, to 0.0
 
 # The exponent schedules that realize an omega-expression as a word schedule
 # (`numerics.realize_polynomial` and `numerics.realize_superpolynomial`).
 MODES = ("polynomial", "superpolynomial")
+
+
+def _entry_fault(values) -> str | None:
+    """The first entry rule that `values`, a non-empty row or vector, breaks:
+    "type" (an entry is no int or float; booleans are not), "nan", "range"
+    (infinities and integers beyond float range), "negative" or "sum" (the
+    entries do not sum to 1 within ROW_SUM_TOLERANCE); None if it keeps all.
+    Built-in passes only, no Python call per entry: NaN, the one value unequal
+    to itself, is tested before min and max, which may skip it; ints and
+    floats compare exactly, and are summed as floats (a total past range is inf)."""
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return "type"
+    if any(map(operator.ne, values, values)):
+        return "nan"
+    low, high = min(values), max(values)
+    if not (-sys.float_info.max <= low and high <= sys.float_info.max):
+        return "range"
+    if low < 0:
+        return "negative"
+    if not abs(sum(values, 0.0) - 1.0) <= ROW_SUM_TOLERANCE:
+        return "sum"
+    return None
+
+
+def _entry_at(fault: str, values, name: str) -> tuple:
+    # For the constructors, once `values` has failed with `fault`: the
+    # position and float value of the first entry at that fault.  An entry
+    # that has no float value raises the type message instead.
+    t, value = next((t, v) for t, v in enumerate(values) if _entry_fault((v,)) == fault)
+    if fault == "type":
+        raise ValueError(f"{name} must be integers or floats, got {type(value).__name__}")
+    if fault == "range" and type(value) is int:
+        raise ValueError(f"{name} must be integers or floats, got an integer beyond float range")
+    return t, float(value)
 
 
 def _read_only_array(rows) -> np.ndarray:
@@ -45,23 +80,16 @@ def _python_value(value):
     return value.tolist() if hasattr(value, "tolist") else value
 
 
-def _float_vector(values, name: str) -> tuple:
-    """The entries of a vector as a tuple of floats, checked without numpy.
-
-    An ndarray and its entries read as their Python values, so an array and
-    the list of its entries pass or fail alike.  Strings and booleans would
-    convert silently, and integers beyond float range would overflow, so
-    only ints and floats pass.
-    """
-    entries = list(map(_python_value, _python_value(values)))
-    for value in entries:
-        if type(value) not in _NUMBER_TYPES:
-            raise ValueError(f"{name} must be integers or floats, got {type(value).__name__}")
-    try:
-        return tuple(map(float, entries))
-    except OverflowError:
-        raise ValueError(f"{name} must be integers or floats, "
-                         f"got an integer beyond float range") from None
+def _square_rows(rows) -> list:
+    # `rows`, a non-empty square list or tuple of lists or tuples, as a list
+    # of row lists of Python values (ndarrays and numpy scalars read through
+    # `tolist()`; a list of ints and floats is kept as is).  Raises otherwise.
+    rows = _python_value(rows)
+    rows = list(map(_python_value, rows)) if isinstance(rows, (list, tuple)) else []
+    if not rows or not all(isinstance(row, (list, tuple)) and len(row) == len(rows) for row in rows):
+        raise ValueError("expected a non-empty square matrix")
+    return [row if type(row) is list and set(map(type, row)) <= _NUMBER_TYPES
+            else list(map(_python_value, row)) for row in rows]
 
 
 class AutomatonFormatError(ValueError):
@@ -71,53 +99,35 @@ class AutomatonFormatError(ValueError):
 class StochasticMatrix:
     """Square matrix with non-negative entries and unit row sums.
 
-    A matrix holds its entries as a read-only float ndarray, or, when the file
-    loader built it, as the row tuples it checked; the ndarray is then built
-    on first numeric use and kept.
+    A matrix built from entries holds the row tuples of floats it checked,
+    and builds its read-only float ndarray on first numeric use; a product
+    or power holds only the ndarray.
     """
 
     __slots__ = ("_rows", "_entries")
 
     def __init__(self, entries):
-        import numpy as np
-        # A fresh float copy.  Strings and booleans would convert silently, and
-        # integers beyond float range would overflow, so only numeric dtypes pass.
-        arr = np.asarray(entries)
-        if arr.dtype.kind not in "iuf":
-            raise ValueError(f"matrix entries must be integers or floats, got dtype {arr.dtype}")
-        arr = np.array(arr, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"expected a non-empty square matrix, got shape {arr.shape}")
-        # Negated tests, so that NaN fails them.
-        if not np.all(arr >= 0.0):
-            s, t = np.argwhere(~(arr >= 0.0))[0]
-            raise ValueError(f"entry {float(arr[s, t])!r} at ({s}, {t}) is negative or NaN")
-        sums = arr.sum(axis=1)
-        bad = np.where(~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE))[0]
-        if bad.size:
-            raise ValueError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}, expected 1")
-        arr.flags.writeable = False
-        self._rows = None
-        self._entries = arr
+        rows = _square_rows(entries)
+        for s, row in enumerate(rows):
+            fault = _entry_fault(row)
+            if fault == "sum":
+                raise ValueError(f"row {s} sums to {sum(row, 0.0)!r}, expected 1")
+            if fault:
+                t, value = _entry_at(fault, row, "matrix entries")
+                problem = "infinite" if fault == "range" else "negative or NaN"
+                raise ValueError(f"entry {value!r} at ({s}, {t}) is {problem}")
+        self._rows = tuple(tuple(map(float, row)) for row in rows)
+        self._entries = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "StochasticMatrix":
-        # Trusted constructor for arithmetic results, float ndarrays: products
-        # and powers of stochastic matrices stay stochastic up to rounding, so
-        # the row-sum check is skipped.
+        # Trusted constructor for float ndarrays that are stochastic by
+        # construction, so no entry is checked: products and powers of
+        # stochastic matrices (up to rounding) and the reduction's letters.
         matrix = object.__new__(cls)
         arr.flags.writeable = False
         matrix._rows = None
         matrix._entries = arr
-        return matrix
-
-    @classmethod
-    def _wrap_rows(cls, rows) -> "StochasticMatrix":
-        # Trusted constructor for rows the file loader has checked: square,
-        # ints and floats in float range, non-negative, unit sums.
-        matrix = object.__new__(cls)
-        matrix._rows = tuple(tuple(map(float, row)) for row in rows)
-        matrix._entries = None
         return matrix
 
     @classmethod
@@ -205,13 +215,11 @@ class BooleanMatrix:
     __slots__ = ("masks",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if not rows or any(len(row) != len(rows) for row in rows):
-            raise ValueError("expected a non-empty square matrix")
+        rows = _square_rows(rows)
         if any(v not in (0, 1) for row in rows for v in row):
             raise ValueError("entries must be 0 or 1")
         object.__setattr__(self, "masks", tuple(
-            sum(v << t for t, v in enumerate(row)) for row in rows))
+            sum(1 << t for t, v in enumerate(row) if v) for row in rows))
 
     @classmethod
     def _wrap(cls, masks: tuple) -> "BooleanMatrix":
@@ -304,19 +312,24 @@ class ProbabilisticAutomaton:
                 raise ValueError(f"transition matrix for {letter!r} has dim {matrix.dim}, expected {dim}")
             table[letter] = matrix
 
-        initial = _float_vector(initial, "initial vector")
+        initial = list(map(_python_value, _python_value(initial)))
         if len(initial) != dim:
             raise ValueError(f"initial vector must have length {dim}")
-        # A negated test, so that NaN fails it.
-        if not all(map((0.0).__le__, initial)):
-            raise ValueError("initial vector has a negative or NaN entry")
-        total = sum(initial)
-        if not abs(total - 1.0) <= ROW_SUM_TOLERANCE:
-            raise ValueError(f"initial vector sums to {total!r}, expected 1")
+        fault = _entry_fault(initial)
+        if fault == "sum":
+            raise ValueError(f"initial vector sums to {sum(initial, 0.0)!r}, expected 1")
+        if fault:
+            _entry_at(fault, initial, "initial vector")   # raises for a non-number
+            problem = "an infinite" if fault == "range" else "a negative or NaN"
+            raise ValueError(f"initial vector has {problem} entry")
+        initial = tuple(map(float, initial))
 
-        final = tuple(bool(v) for v in final)
+        final = tuple(map(_python_value, _python_value(final)))
         if len(final) != dim:
             raise ValueError(f"final vector must have length {dim}")
+        for v in final:
+            if type(v) is not bool:
+                raise ValueError(f"final vector must be booleans, got {type(v).__name__}")
 
         self._states = states
         self._alphabet = alphabet
@@ -509,18 +522,6 @@ def _require(condition, message):
         raise AutomatonFormatError(message)
 
 
-def _all_numbers(values: list) -> bool:
-    # Built-in passes only, no Python call per entry.  Booleans are ints to
-    # Python but not by type.  NaN is the one value unequal to itself, and
-    # min and max skip it or not depending on its position, so it is tested
-    # first.  The bounds then reject infinities and integers beyond float
-    # range (ints and floats compare exactly).
-    return (set(map(type, values)) <= _NUMBER_TYPES
-            and not any(map(operator.ne, values, values))
-            and -sys.float_info.max <= min(values, default=0)
-            and max(values, default=0) <= sys.float_info.max)
-
-
 def automaton_from_json(text: str) -> ProbabilisticAutomaton:
     try:
         payload = json.loads(text)
@@ -540,7 +541,7 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
     initial = payload["initial"]
     _require(isinstance(initial, list) and len(initial) == dim,
              f"`initial` must be an array of {dim} numbers")
-    _require(_all_numbers(initial), "`initial` entries must be numbers")
+    _require(_entry_fault(initial) not in _NOT_A_NUMBER, "`initial` entries must be numbers")
     final = payload["final"]
     _require(isinstance(final, list) and len(final) == dim,
              f"`final` must be an array of {dim} booleans")
@@ -559,17 +560,18 @@ def automaton_from_json(text: str) -> ProbabilisticAutomaton:
             rows = [rows[i * dim:(i + 1) * dim] for i in range(dim)]
         _require(len(rows) == dim and all(isinstance(r, list) and len(r) == dim for r in rows),
                  f"transitions for {letter!r} must form a {dim}x{dim} matrix")
-        for i, row in enumerate(rows):
-            problem = None
-            if not _all_numbers(row):
+        try:
+            transitions[letter] = StochasticMatrix(rows)
+        except ValueError as exc:   # an entry fault: name the first row at fault
+            i, fault = next((i, f) for i, f in enumerate(map(_entry_fault, rows)) if f)
+            if fault in _NOT_A_NUMBER:
                 problem = "entries must be numbers"
-            elif min(row) < 0:
+            elif fault == "negative":
                 problem = "negative entry"
-            elif not abs(sum(row) - 1.0) <= ROW_SUM_TOLERANCE:
-                problem = f"sums to {sum(row)!r}, expected 1"
-            if problem:
-                raise AutomatonFormatError(f"letter {letter!r}, row {i} ({states[i]!r}): {problem}")
-        transitions[letter] = StochasticMatrix._wrap_rows(rows)
+            else:   # an exact integer for integer rows, as `[1, 1]` sums to 2
+                problem = f"sums to {sum(rows[i])!r}, expected 1"
+            raise AutomatonFormatError(f"letter {letter!r}, row {i} ({states[i]!r}): "
+                                       f"{problem}") from exc
 
     try:
         automaton = ProbabilisticAutomaton(states, alphabet, transitions, initial, final)

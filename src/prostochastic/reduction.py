@@ -151,7 +151,7 @@ def build_reduction(automaton: ProbabilisticAutomaton) -> ReductionOutput:
     built = ProbabilisticAutomaton(
         states=states,
         alphabet=tuple(automaton.alphabet) + (CHECK, END),
-        transitions={letter: StochasticMatrix(m) for letter, m in transitions.items()},
+        transitions={letter: StochasticMatrix._wrap(m) for letter, m in transitions.items()},
         initial=initial,
         final=final,
     )

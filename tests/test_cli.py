@@ -355,7 +355,8 @@ class TestExample:
 class TestColdStart:
     """Each command in a fresh interpreter: `analyze` and `monoid` decide on
     supports alone and never import numpy; the numeric commands import it
-    when they run."""
+    when they run.  Building matrices and automata from lists does not
+    import it either; the first numeric use does."""
 
     SCRIPT = ("import json, sys\n"
               "import prostochastic.cli as cli\n"
@@ -366,11 +367,14 @@ class TestColdStart:
               "print(json.dumps(loaded))\n")
 
     def run(self, commands, cwd):
+        return self.run_script(self.SCRIPT, [json.dumps(commands)], cwd)
+
+    def run_script(self, script, args, cwd):
         import prostochastic
         src = os.path.dirname(os.path.dirname(prostochastic.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)],
+        done = subprocess.run([sys.executable, "-c", script, *args],
                               cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()
@@ -383,6 +387,18 @@ class TestColdStart:
         assert out[:2] == ["YES", "witness: a^w"]
         assert out[2] == "NO"
         assert json.loads(out[-1]) == [False, [False, 0], [False, 1], [False, 0], [False, 0]]
+
+    def test_building_from_lists_leaves_numpy_unloaded(self, tmp_path):
+        script = ("import sys\n"
+                  "from prostochastic import ProbabilisticAutomaton, StochasticMatrix\n"
+                  "m = StochasticMatrix([[0.5, 0.5], [0, 1]])\n"
+                  "a = ProbabilisticAutomaton(['s', 't'], ['a', 'b'], {'a': m, 'b': [[0, 1], [1, 0]]},\n"
+                  "                           [1, 0], [False, True])\n"
+                  "print('numpy' in sys.modules, a.is_strict, m.rows)\n"
+                  "m.entries\n"
+                  "print('numpy' in sys.modules)\n")
+        assert self.run_script(script, [], tmp_path) == [
+            "False True ((0.5, 0.5), (0.0, 1.0))", "True"]
 
     @pytest.mark.parametrize("argv,expected", [
         (["analyze", "yes.json", "--verify", "-n", "3"], "extrapolated limit:"),

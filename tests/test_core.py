@@ -67,6 +67,36 @@ class TestStochasticMatrix:
         with pytest.raises(ValueError, match="matrix entries must be integers or floats"):
             StochasticMatrix(entries)
 
+    @pytest.mark.parametrize("entries,message", [
+        ([[2, -1], [0, 1]], "entry -1.0 at (0, 1) is negative or NaN"),
+        ([[0.5, 0.5], [-1, 2]], "entry -1.0 at (1, 0) is negative or NaN"),
+        ([[0.5, float("inf")], [0, 1]], "entry inf at (0, 1) is infinite"),
+        ([[10**400, 0], [0, 1]], "matrix entries must be integers or floats, "
+                                 "got an integer beyond float range"),
+        ([[10**308, 10**308], [0, 1]], "row 0 sums to inf, expected 1"),
+    ])
+    def test_entry_messages(self, entries, message):
+        with pytest.raises(ValueError) as caught:
+            StochasticMatrix(entries)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("entries", [
+        [{0: 1, 1: 0}, [0, 1]], [(x for x in (0.5, 0.5)), [0, 1]], [b"\x01\x00", b"\x00\x01"],
+        ["ab", "cd"], [1.0, 0.0], 1.0,
+    ], ids=["mapping-row", "iterator-row", "bytes-rows", "string-rows", "vector", "number"])
+    def test_rows_must_be_lists_or_tuples(self, entries):
+        with pytest.raises(ValueError, match="^expected a non-empty square matrix$"):
+            StochasticMatrix(entries)
+
+    @pytest.mark.parametrize("entries", [
+        [(0.5, 0.5), (0, 1)], np.array([[0.5, 0.5], [0, 1]]),
+        [np.array([0.5, 0.5]), np.array([0, 1])], [[np.float64(0.5), 0.5], [np.int64(0), 1]],
+    ], ids=["tuples", "ndarray", "ndarray-rows", "numpy-numbers"])
+    def test_sequences_and_numpy_values_read_as_python_rows(self, entries):
+        matrix = StochasticMatrix(entries)
+        assert matrix.rows == ((0.5, 0.5), (0.0, 1.0))
+        assert all(type(v) is float for row in matrix.rows for v in row)
+
     def test_entries_are_immutable(self):
         m = StochasticMatrix(ABSORBING)
         with pytest.raises(ValueError):
@@ -124,10 +154,18 @@ class TestBooleanMatrix:
         ((1, 0),),
         ((1, 0), (1,)),
         (),
+        ((0.7, 0), (0, 1)),
+        (("1", 0), (0, 1)),
+        ({0: 5, 1: 7}, (0, 1)),
     ])
     def test_constructor_rejects_bad_rows(self, rows):
         with pytest.raises(ValueError):
             BooleanMatrix(rows)
+
+    def test_booleans_and_float_zero_and_one_pass(self):
+        expected = BooleanMatrix(((1, 0), (0, 1)))
+        assert BooleanMatrix(((True, False), (0.0, 1.0))) == expected
+        assert BooleanMatrix(np.eye(2, dtype=bool)) == expected
 
 
 class TestMatrixPower:
@@ -280,6 +318,17 @@ class TestAutomaton:
             errors.append(str(caught.value))
         assert errors == [message] * 3
 
+    @pytest.mark.parametrize("initial,message", [
+        ([2, -1], "initial vector has a negative or NaN entry"),
+        ([float("-inf"), 1], "initial vector has an infinite entry"),
+        ([3, 0], "initial vector sums to 3.0, expected 1"),
+        ([10**308, 10**308], "initial vector sums to inf, expected 1"),
+    ])
+    def test_integer_and_infinite_initial_entries(self, initial, message):
+        with pytest.raises(ValueError) as caught:
+            ProbabilisticAutomaton(("s", "t"), ("a",), {"a": np.eye(2)}, initial, (True, True))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("initial", [
         [0, 1], (0.0, 1.0), np.array([0, 1]), np.array([0.0, 1.0]),
         np.array([0.0, 1.0], dtype=np.float32), [np.int64(0), np.float64(1.0)],
@@ -292,6 +341,25 @@ class TestAutomaton:
         assert automaton.initial_support() == (1,)
         with pytest.raises(ValueError):
             automaton.initial[0] = 1.0
+
+    @pytest.mark.parametrize("final,message", [
+        (("false", "false"), "final vector must be booleans, got str"),
+        ((1, 0), "final vector must be booleans, got int"),
+        ((None, True), "final vector must be booleans, got NoneType"),
+    ])
+    def test_final_vector_must_be_booleans(self, final, message):
+        with pytest.raises(ValueError) as caught:
+            ProbabilisticAutomaton(("s", "t"), ("a",), {"a": [[1, 0], [0, 1]]}, (1, 0), final)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("final", [
+        (False, True), np.array([False, True]), [np.bool_(False), np.bool_(True)],
+    ])
+    def test_final_vector_accepts_python_and_numpy_booleans(self, final):
+        automaton = ProbabilisticAutomaton(("s", "t"), ("a",), {"a": [[1, 0], [0, 1]]},
+                                           (1, 0), final)
+        assert automaton.final == (False, True)
+        assert all(type(v) is bool for v in automaton.final)
 
     def test_transitions_required_for_every_letter(self):
         with pytest.raises(ValueError, match="missing transition"):
@@ -453,6 +521,54 @@ class TestFileFormat:
             automaton_from_json(payload)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("initial,row,message", [
+        ("2, -1", "0.5, 0.5", "initial vector has a negative or NaN entry"),
+        ("1, 1", "0.5, 0.5", "initial vector sums to 2.0, expected 1"),
+        ("1, 0", "2, -1", "letter 'a', row 0 ('s0'): negative entry"),
+        ("1, 0", "1, 1", "letter 'a', row 0 ('s0'): sums to 2, expected 1"),
+        # Each integer is in float range, their sum is not.
+        (f"{10**308}, {10**308}", "0.5, 0.5", "initial vector sums to inf, expected 1"),
+        ("1, 0", f"{10**308}, {10**308}",
+         f"letter 'a', row 0 ('s0'): sums to {2 * 10**308}, expected 1"),
+    ], ids=["initial-negative", "initial-sum", "row-negative", "row-sum",
+            "initial-sum-past-float-range", "row-sum-past-float-range"])
+    def test_integer_entry_messages(self, initial, row, message):
+        with pytest.raises(AutomatonFormatError) as caught:
+            automaton_from_json(self.TEMPLATE % (initial, row))
+        assert str(caught.value) == message
+
+    # One policy: a file is rejected exactly when the constructor rejects the
+    # same values, for every entry above and for negative, off-sum and valid
+    # ones, in `initial` and in a transition row.
+    POLICY_TEXTS = {**ENTRY_TEXTS, "negative": "-0.5", "negative-integer": "-1",
+                    "off-sum": "0.25", "outside-tolerance": "0.50000001", "valid": "0.5",
+                    "inside-tolerance": "0.5000000001"}
+
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("entry", list(POLICY_TEXTS))
+    @pytest.mark.parametrize("field", ["initial", "row"])
+    def test_loader_and_constructors_share_one_policy(self, field, entry, position):
+        vector = ["0.5", "0.5"]
+        vector[position] = self.POLICY_TEXTS[entry]
+        values = json.loads("[%s]" % ", ".join(vector))
+        payload = self.TEMPLATE % ((", ".join(vector), "0.5, 0.5") if field == "initial"
+                                   else ("0.5, 0.5", ", ".join(vector)))
+
+        def rejects(build, *args):
+            try:
+                build(*args)
+            except ValueError:
+                return True
+            return False
+
+        rejected = rejects(automaton_from_json, payload)
+        if field == "initial":
+            assert rejected == rejects(ProbabilisticAutomaton, ("s0", "s1"), ("a",),
+                                       {"a": [[0.5, 0.5], [0, 1]]}, values, (False, True))
+        else:
+            assert rejected == rejects(StochasticMatrix, [values, [0, 1]])
+        assert rejected == (entry not in ("valid", "inside-tolerance"))
+
     def test_not_json(self):
         with pytest.raises(AutomatonFormatError, match="JSON"):
             automaton_from_json("not json at all")
@@ -477,8 +593,13 @@ class TestRowReaders:
             initial[rng.integers(n)] = 1.0
             built.append(ProbabilisticAutomaton([f"s{i}" for i in range(n)], ("a", "b"),
                                                 transitions, initial, [True] * n))
-        # Each as built, holding ndarrays, and as loaded, holding the checked rows.
-        return built + [automaton_from_json(automaton_to_json(a)) for a in built]
+        # Each as built and as loaded, holding the checked rows, and with
+        # its letters as products, holding ndarrays.
+        as_products = [ProbabilisticAutomaton(
+            a.states, a.alphabet,
+            {x: StochasticMatrix.identity(a.dim) @ a.transition(x) for x in a.alphabet},
+            a.initial, a.final) for a in built]
+        return built + [automaton_from_json(automaton_to_json(a)) for a in built] + as_products
 
     def test_is_strict_matches_numpy(self):
         verdicts = []

@@ -8,8 +8,8 @@ from prostochastic import (Concat, Literal, Power, PreconditionError,
                            automaton_to_json, build_reduction,
                            counterexample_automaton, round_acceptance,
                            round_probability_by_matrix, round_schedule,
-                           schedule_acceptance_probability, schedule_matrix,
-                           verify_reduction)
+                           StochasticMatrix, schedule_acceptance_probability,
+                           schedule_matrix, verify_reduction)
 from prostochastic.numerics import polynomial_exponent, superpolynomial_exponent
 from prostochastic.reduction import CHECK, END
 from conftest import (coin_automaton, direct_round_sum, funnel_automaton,
@@ -129,6 +129,8 @@ class TestBuildReduction:
                     assert np.array_equal(block, automaton.transition(letter).entries)
             for letter in built.alphabet:
                 entries = built.transition(letter).entries
+                # Built without a check, and still passes the checked constructor.
+                assert StochasticMatrix(entries).rows == built.transition(letter).rows
                 assert entries[qf, qf] == entries[bot, bot] == 1.0
                 assert entries[p0, p0] == (0.0 if letter == CHECK else 1.0)
             split = np.zeros(built.dim)
