@@ -9,6 +9,7 @@ onto a single limit instead of cycling.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,16 +25,23 @@ from .omega import boolean_interpretation
 
 NOISE_FLOOR = 1e-13
 
+# 1!, 2!, 3!, ...  Grown on demand: a longer copy replaces it in one
+# assignment, so a thread reading it always sees a correct prefix.
+_factorials = (1,)
+
 
 def polynomial_exponent(n: int) -> int:
     """Largest factorial <= n."""
+    global _factorials
     if n < 1:
         raise ValueError("argument must be >= 1")
-    k, factorial = 1, 1
-    while factorial * (k + 1) <= n:
-        k += 1
-        factorial *= k
-    return factorial
+    table = _factorials
+    if table[-1] <= n:
+        grown = list(table)
+        while grown[-1] <= n:
+            grown.append(grown[-1] * (len(grown) + 1))
+        _factorials = table = tuple(grown)
+    return table[bisect.bisect_right(table, n) - 1]
 
 
 def superpolynomial_exponent(n: int) -> int:
@@ -146,26 +154,49 @@ def realize_polynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     Letters stay literal, products concatenate, and omega raises the
     realized child to the largest factorial below n times its length.
     """
+    return _schedule(expr, _exponents(expr, n, "polynomial"))
+
+
+def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:
+    """Polynomial realization raised to the super-polynomial exponent."""
+    return _schedule(expr, _exponents(expr, n, "superpolynomial"))
+
+
+def _exponents(expr: OmegaExpression, n: int, mode: str) -> tuple:
+    """The exponents of the n-th realization, as ints: one per omega node in
+    post-order, then, in super-polynomial mode, the outer one.  Equal
+    tuples of one expression and mode realize to the same schedule."""
     if n < 1:
         raise ValueError("realization index must be >= 1")
+    lengths, exponents = {}, []
+    for node in postorder(expr):
+        if isinstance(node, Letter):
+            lengths[node] = 1
+        elif isinstance(node, Product):
+            lengths[node] = lengths[node.left] + lengths[node.right]
+        elif isinstance(node, Omega):
+            exponents.append(polynomial_exponent(n * lengths[node.child]))
+            lengths[node] = exponents[-1] * lengths[node.child]
+        else:
+            raise TypeError(f"not an omega-expression: {node!r}")
+    if mode == "superpolynomial":
+        exponents.append(superpolynomial_exponent(n * lengths[expr]))
+    return tuple(exponents)
+
+
+def _schedule(expr: OmegaExpression, exponents: tuple) -> WordSchedule:
+    # The schedule of `expr` whose powers take `exponents`, as `_exponents` orders them.
+    exponents = iter(exponents)
     schedules = {}
     for node in postorder(expr):
         if isinstance(node, Letter):
             schedules[node] = Literal((node.token,))
         elif isinstance(node, Product):
             schedules[node] = Concat(schedules[node.left], schedules[node.right])
-        elif isinstance(node, Omega):
-            inner = schedules[node.child]
-            schedules[node] = Power(inner, polynomial_exponent(n * inner.length))
-        else:
-            raise TypeError(f"not an omega-expression: {node!r}")
-    return schedules[expr]
-
-
-def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:
-    """Polynomial realization raised to the super-polynomial exponent."""
-    inner = realize_polynomial(expr, n)
-    return Power(inner, superpolynomial_exponent(n * inner.length))
+        else:   # an omega: `_exponents` has rejected other nodes
+            schedules[node] = Power(schedules[node.child], next(exponents))
+    outer = next(exponents, None)
+    return schedules[expr] if outer is None else Power(schedules[expr], outer)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +317,15 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
-    return sweep(automaton, (realize(expr, n) for n in range(1, n_max + 1)))
+    schedules = {}   # exponent tuple -> its schedule, built once
+
+    def schedule(n):
+        exponents = _exponents(expr, n, mode)
+        if exponents not in schedules:
+            schedules[exponents] = realize(expr, n)
+        return schedules[exponents]
+
+    return sweep(automaton, map(schedule, range(1, n_max + 1)))
 
 
 def sweep(automaton: ProbabilisticAutomaton, schedules, references=()) -> ConvergenceReport:

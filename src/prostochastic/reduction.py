@@ -222,7 +222,7 @@ def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
     if reduction is None:
         reduction = build_reduction(automaton)
     parameters = [round_schedule(n, len(word)) for n in range(1, n_max + 1)]
-    return sweep(reduction.automaton,
-                 [round_word(word, k, rounds) for k, rounds in parameters],
+    words = {pair: round_word(word, *pair) for pair in dict.fromkeys(parameters)}
+    return sweep(reduction.automaton, map(words.__getitem__, parameters),
                  [round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
                   for k, rounds in parameters])

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from prostochastic import ProbabilisticAutomaton, StochasticMatrix, numerics
+from prostochastic import ProbabilisticAutomaton, StochasticMatrix, numerics, reduction
 
 
 def absorbing_automaton():
@@ -168,6 +168,25 @@ def schedule_evaluations(monkeypatch):
 
     monkeypatch.setattr(numerics, "schedule_acceptance_probability", counting)
     return schedules
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch):
+    """The arguments of every `realize_polynomial`, `realize_superpolynomial`
+    and `round_word` call that `estimate_limit` and `verify_reduction` make
+    during the test, in order."""
+    calls = []
+    for module, name in ((numerics, "realize_polynomial"),
+                         (numerics, "realize_superpolynomial"),
+                         (reduction, "round_word")):
+        original = getattr(module, name)
+
+        def counting(*args, original=original):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.fixture

@@ -1,3 +1,8 @@
+import math
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,12 +18,31 @@ from prostochastic import (Concat, IdempotenceError, Literal, Power,
                            schedule_acceptance_probability, stabilize,
                            superpolynomial_exponent)
 from prostochastic.numerics import build_report
+from prostochastic import numerics
 from conftest import (absorbing_automaton, funnel_automaton, power_nodes,
                       squaring_chain_lengths,
                       random_quarter_automaton, random_stochastic,
                       single_state_automaton)
 
 ABSORBING = StochasticMatrix([[0.5, 0.5], [0.0, 1.0]])
+FACTORIALS = [math.factorial(k) for k in range(1, 480)]   # past 2^3481
+
+
+def factorial_floor(n):
+    """Reference for `polynomial_exponent`: the largest k! <= n, by a plain
+    loop over `math.factorial`."""
+    assert FACTORIALS[-1] > n
+    floor = 1
+    for factorial in FACTORIALS:
+        if factorial > n:
+            return floor
+        floor = factorial
+
+
+@pytest.fixture
+def fresh_factorials(monkeypatch):
+    """`polynomial_exponent` starts from the table it has at import."""
+    monkeypatch.setattr(numerics, "_factorials", (1,))
 
 
 class TestExponentSchedules:
@@ -37,6 +61,50 @@ class TestExponentSchedules:
             polynomial_exponent(0)
         with pytest.raises(ValueError):
             superpolynomial_exponent(0)
+
+    def test_polynomial_matches_factorial_loop_up_to_5000(self, fresh_factorials):
+        for n in range(1, 5001):
+            assert polynomial_exponent(n) == factorial_floor(n), n
+
+    def test_polynomial_matches_factorial_loop_around_factorials(self, fresh_factorials):
+        for k in range(1, 451):
+            for n in (FACTORIALS[k - 1] - 1, FACTORIALS[k - 1], FACTORIALS[k - 1] + 1):
+                if n >= 1:
+                    assert polynomial_exponent(n) == factorial_floor(n), (k, n)
+
+    def test_polynomial_matches_factorial_loop_out_of_order(self, fresh_factorials):
+        # The table grows by jumps and is then searched below its end.
+        powers = [2 ** e for e in range(3482)]
+        random.Random(0).shuffle(powers)
+        for n in powers:
+            assert polynomial_exponent(n) == factorial_floor(n), n.bit_length()
+
+    def test_polynomial_threads_growing_one_table(self, fresh_factorials):
+        # Four threads on a fresh table, switching every microsecond, each
+        # asking for large arguments in its own order.
+        arguments = [[2 ** e + t for e in range(1, 3482, 37)] for t in range(4)]
+        for t, ns in enumerate(arguments):
+            random.Random(t).shuffle(ns)
+        results = [None] * len(arguments)
+        start = threading.Barrier(len(arguments))
+
+        def ask(t):
+            start.wait(timeout=10)
+            results[t] = [polynomial_exponent(n) for n in arguments[t]]
+
+        threads = [threading.Thread(target=ask, args=(t,)) for t in range(len(arguments))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[factorial_floor(n) for n in ns] for ns in arguments]
+        assert numerics._factorials == tuple(FACTORIALS[:len(numerics._factorials)])
 
     def test_polynomial_bounded_by_argument(self):
         for n in range(1, 2000):
@@ -337,6 +405,31 @@ class TestSweepMemo:
         distinct = {realize_superpolynomial(expr, n) for n in range(1, 41)}
         assert len(schedule_evaluations) == len(set(schedule_evaluations)) == len(distinct) == 11
         assert set(schedule_evaluations) == distinct
+
+    @pytest.mark.parametrize("text,mode,builds", [("(b a^w)^w", "superpolynomial", 11),
+                                                  ("(b a^w)^w", "polynomial", 6),
+                                                  ("b a^w", "superpolynomial", 7),
+                                                  ("b a^w", "polynomial", 4)])
+    def test_one_build_per_distinct_schedule(self, schedule_builds, text, mode, builds):
+        automaton = counterexample_automaton(0.7)
+        expr = parse_expression(text, automaton.alphabet)
+        estimate_limit(automaton, expr, mode, 40)
+        realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
+        distinct = {realize(expr, n) for n in range(1, 41)}
+        assert len(schedule_builds) == len(distinct) == builds
+        assert {realize(*args) for args in schedule_builds} == distinct
+
+    @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
+                                              ("superpolynomial", realize_superpolynomial)])
+    @pytest.mark.parametrize("text", ["b a^w", "(b a^w)^w", "(b a^w)^w b"])
+    @pytest.mark.parametrize("n_max", [40, 400])
+    def test_sample_lengths_are_exact(self, mode, realize, text, n_max):
+        automaton = counterexample_automaton(0.7)
+        expr = parse_expression(text, automaton.alphabet)
+        report = estimate_limit(automaton, expr, mode, n_max)
+        assert [sample.n for sample in report.samples] == list(range(1, n_max + 1))
+        for sample in report.samples:
+            assert sample.length == realize(expr, sample.n).length
 
     @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
                                               ("superpolynomial", realize_superpolynomial)])

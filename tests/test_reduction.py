@@ -311,6 +311,15 @@ class TestVerifySweepMemo:
         assert len(schedule_evaluations) == len(set(schedule_evaluations)) == len(distinct) == 7
         assert set(schedule_evaluations) == distinct
 
+    def test_one_build_per_distinct_schedule(self, schedule_builds):
+        report = verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        pairs = {round_schedule(n, len(self.WORD)) for n in range(1, self.N_MAX + 1)}
+        assert len(schedule_builds) == len(pairs) == 7
+        assert set(schedule_builds) == {(self.WORD, k, rounds) for k, rounds in pairs}
+        schedules = dict(self.round_schedules())
+        assert [sample.length for sample in report.samples] == [
+            schedules[n].length for n in range(1, self.N_MAX + 1)]
+
     @pytest.mark.parametrize("x", [0.4, 0.7])
     def test_samples_equal_single_schedule_values(self, x):
         automaton = coin_automaton(x)
