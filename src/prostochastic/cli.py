@@ -6,9 +6,9 @@ NO; every command exits 2 on input errors, after writing nothing to stdout
 or the -o file: each command computes its whole answer before it prints.
 
 `analyze` and `monoid` decide on supports alone and never import numpy.
-`numerics` and `reduction`, which compute with floats, are imported by the
-commands that use them (`simulate`, `reduce`, `example`, `analyze
---verify`), when they run.
+`numerics` and `reduction`, which compute with floats, and `omega`, which
+parses expressions and words, are imported by the commands that use them
+(`simulate`, `reduce`, `example`, `analyze --verify`), when they run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .core import MODES, automaton_to_json, load_automaton
 from .expressions import Letter, Omega, Product, format_expression
 from .monoid import (IdempotenceError, _value1_test, find_value1_witness,
                      format_monoid, letter_supports, markov_monoid)
-from .omega import boolean_interpretation, parse_expression, parse_word, repair_suggestion
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -67,6 +66,7 @@ def cmd_monoid(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .numerics import estimate_limit
+    from .omega import boolean_interpretation, parse_expression, repair_suggestion
     automaton = load_automaton(args.automaton)
     expr = parse_expression(args.expression, automaton.alphabet)
     generators = letter_supports(automaton)
@@ -82,6 +82,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from .omega import parse_word
     from .reduction import build_reduction, verify_reduction
     automaton = load_automaton(args.automaton)
     reduction = build_reduction(automaton)

@@ -17,11 +17,13 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .expressions import Node, postorder
 
+TYPE_CHECKING = False   # as `typing.TYPE_CHECKING`; typing itself is not imported
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Mapping
+
     import numpy as np
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -435,7 +437,7 @@ class Power(Node):
         return super().__new__(cls, child, int(exponent))
 
 
-WordSchedule = Union[Literal, Concat, Power]
+WordSchedule = (Literal, Concat, Power)   # the schedule node classes
 
 
 def expand_schedule(schedule: WordSchedule, limit: int = 10**6) -> tuple:

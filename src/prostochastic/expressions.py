@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import threading
 import weakref
-from typing import Union
 
 _set = object.__setattr__
 _live = {}   # (class, *fields) -> weak reference to the live node with those fields
@@ -117,7 +116,7 @@ class Omega(Node):
     _arity = 1
 
 
-OmegaExpression = Union[Letter, Product, Omega]
+OmegaExpression = (Letter, Product, Omega)   # the expression node classes
 
 
 def product_of(factors) -> OmegaExpression:
@@ -134,7 +133,7 @@ def product_of(factors) -> OmegaExpression:
 def expression_depth(expr: OmegaExpression) -> int:
     depths = {}
     for node in postorder(expr):
-        if not isinstance(node, (Letter, Product, Omega)):
+        if not isinstance(node, OmegaExpression):
             raise TypeError(f"not an omega-expression: {node!r}")
         depths[node] = 1 + max((depths[child] for child in node._children), default=0)
     return depths[expr]

@@ -8,11 +8,13 @@ stabilization, saturation) is computed symbolically, never from floats.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
 
 from .core import BooleanMatrix, ProbabilisticAutomaton, StochasticMatrix
-from .expressions import Letter, Omega, OmegaExpression, Product
+from .expressions import Letter, Node, Omega, OmegaExpression, Product, format_expression
+
+TYPE_CHECKING = False   # as `typing.TYPE_CHECKING`; typing itself is not imported
+if TYPE_CHECKING:
+    from collections.abc import Callable, Mapping
 
 
 class IdempotenceError(ValueError):
@@ -109,7 +111,7 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
     return BooleanMatrix._wrap(masks)
 
 
-def _stabilized(masks: tuple) -> Optional[tuple]:
+def _stabilized(masks: tuple) -> tuple | None:
     """The masks of `stabilize`, or None when the matrix is not idempotent:
     both tests in one pass over the distinct rows.
 
@@ -141,15 +143,34 @@ def _stabilized(masks: tuple) -> Optional[tuple]:
     return tuple(map(recurrent.__and__, masks))
 
 
-@dataclass(frozen=True)
 class MonoidElement:
-    """A boolean matrix together with one omega-expression denoting it."""
+    """A boolean matrix together with one omega-expression denoting it;
+    equal to another element with an equal matrix and the same witness.
+    Its repr shows the witness as expression text."""
 
-    matrix: BooleanMatrix
-    witness: OmegaExpression
+    __slots__ = ("matrix", "witness")
+    __setattr__ = __delattr__ = Node.__setattr__   # raises AttributeError
+
+    def __init__(self, matrix: BooleanMatrix, witness: OmegaExpression):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.matrix, self.witness) == (other.matrix, other.witness)
+
+    def __hash__(self):
+        return hash((self.matrix, self.witness))
+
+    def __reduce__(self):
+        return MonoidElement, (self.matrix, self.witness)
+
+    def __repr__(self):
+        return (f"MonoidElement(matrix={self.matrix!r}, "
+                f"witness={format_expression(self.witness)!r})")
 
 
-@dataclass(frozen=True, eq=False)
 class MarkovMonoid:
     """The saturated monoid as an element table, in discovery order; a
     saturation given a `stop` test may hold only a prefix of it.
@@ -157,12 +178,15 @@ class MarkovMonoid:
     Element k is `masks[k]`, its matrix's row masks, and `origins[k]`, how
     it was found: `(Letter, token)`, `(Product, left, right)` with the
     indices of its two factors, or `(Omega, child)`.  Every index in an
-    origin is below k.  Matrices and witnesses are built on demand.
+    origin is below k.  Matrices and witnesses are built on demand.  A
+    monoid is read-only and equal only to itself.
     """
 
-    masks: tuple
-    origins: tuple
-    generators: Mapping[str, BooleanMatrix]
+    __setattr__ = __delattr__ = Node.__setattr__   # raises AttributeError
+
+    def __init__(self, masks: tuple, origins: tuple, generators: Mapping[str, BooleanMatrix]):
+        # `elements`, once built, joins these in the instance dict.
+        self.__dict__.update(masks=masks, origins=origins, generators=generators)
 
     @functools.cached_property
     def elements(self) -> tuple:
@@ -171,8 +195,9 @@ class MarkovMonoid:
         return tuple(map(MonoidElement, self._matrices(), witnesses))
 
     def element(self, index: int) -> MonoidElement:
-        """Element `index`, building only the witnesses that its own is
-        built from."""
+        """Element `index`, indexed as `elements` is, building only the
+        witnesses that its own is built from."""
+        index = range(len(self))[index]
         # Every factor's index is below its element's, so a descending scan
         # reaches each element before its factors.
         needed = {index}
@@ -210,7 +235,7 @@ class MarkovMonoid:
 
 
 def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool,
-              stop: Optional[Callable[[tuple], bool]] = None) -> tuple:
+              stop: Callable[[tuple], bool] | None = None) -> tuple:
     """Right Cayley-graph closure of the letter supports (Froidure-Pin);
     returns the element table: each element's masks and origin, as in
     `MarkovMonoid`.
@@ -277,7 +302,7 @@ def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
 
 
 def markov_monoid(automaton: ProbabilisticAutomaton,
-                  stop: Optional[Callable[[tuple], bool]] = None) -> MarkovMonoid:
+                  stop: Callable[[tuple], bool] | None = None) -> MarkovMonoid:
     """Saturate the letter supports under product and stabilization of
     idempotents.
 
@@ -313,8 +338,8 @@ def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) 
 
 
 def find_value1_witness(monoid: MarkovMonoid, automaton: ProbabilisticAutomaton,
-                        is_witness: Optional[Callable[[tuple], bool]] = None
-                        ) -> Optional[MonoidElement]:
+                        is_witness: Callable[[tuple], bool] | None = None
+                        ) -> MonoidElement | None:
     """First monoid element (in discovery order) that is a value-1 witness,
     or None; the algorithm answers YES exactly when one exists.
 

@@ -354,9 +354,10 @@ class TestExample:
 
 class TestColdStart:
     """Each command in a fresh interpreter: `analyze` and `monoid` decide on
-    supports alone and never import numpy; the numeric commands import it
+    supports alone and never import numpy, nor `dataclasses`, `inspect`,
+    `typing` or the expression parser; the numeric commands import numpy
     when they run.  Building matrices and automata from lists does not
-    import it either; the first numeric use does."""
+    import numpy either; the first numeric use does."""
 
     SCRIPT = ("import json, sys\n"
               "import prostochastic.cli as cli\n"
@@ -369,12 +370,12 @@ class TestColdStart:
     def run(self, commands, cwd):
         return self.run_script(self.SCRIPT, [json.dumps(commands)], cwd)
 
-    def run_script(self, script, args, cwd):
+    def run_script(self, script, args, cwd, flags=()):
         import prostochastic
         src = os.path.dirname(os.path.dirname(prostochastic.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", script, *args],
+        done = subprocess.run([sys.executable, *flags, "-c", script, *args],
                               cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         return done.stdout.splitlines()
@@ -387,6 +388,22 @@ class TestColdStart:
         assert out[:2] == ["YES", "witness: a^w"]
         assert out[2] == "NO"
         assert json.loads(out[-1]) == [False, [False, 0], [False, 1], [False, 0], [False, 0]]
+
+    # `typing` is checked only without `site`, which may import it itself.
+    @pytest.mark.parametrize("flags,absent", [
+        ((), ["dataclasses", "inspect", "prostochastic.omega"]),
+        (("-S",), ["dataclasses", "inspect", "prostochastic.omega", "typing"]),
+    ], ids=["site", "no-site"])
+    def test_analyze_and_monoid_import_only_the_decide_path(self, tmp_path, flags, absent):
+        yes = write(tmp_path, "yes.json", absorbing_automaton())
+        no = write(tmp_path, "no.json", counterexample_automaton(0.9))
+        script = ("import json, sys\n"
+                  "import prostochastic.cli as cli\n"
+                  "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))\n")
+        commands = [["analyze", yes], ["analyze", no], ["monoid", no], ["monoid", yes]]
+        out = self.run_script(script, [json.dumps(commands), json.dumps(absent)], tmp_path, flags)
+        assert json.loads(out[-1]) == [[0, 1, 0, 0], []]
 
     def test_building_from_lists_leaves_numpy_unloaded(self, tmp_path):
         script = ("import sys\n"

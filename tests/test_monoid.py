@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import prostochastic.monoid as monoid_module
-from prostochastic import (BooleanMatrix, IdempotenceError, Letter, Omega,
-                           ProbabilisticAutomaton, Product, StochasticMatrix,
-                           boolean_interpretation, boolean_product,
+from prostochastic import (BooleanMatrix, IdempotenceError, Letter, MarkovMonoid,
+                           MonoidElement, Omega, ProbabilisticAutomaton, Product,
+                           StochasticMatrix, boolean_interpretation, boolean_product,
                            boolean_projection, build_reduction,
                            counterexample_automaton, find_value1_witness,
                            format_expression, format_monoid, is_idempotent,
@@ -390,6 +390,23 @@ class TestMarkovMonoid:
         letters = sum(isinstance(element.witness, Letter) for element in monoid)
         assert letters == 2
 
+    def test_element_indexes_like_a_sequence(self):
+        monoid = markov_monoid(counterexample_automaton(0.9))
+        assert len(monoid) == 18
+        for index in (0, 5, 17, -1, -5, -18):
+            assert monoid.element(index) == monoid.elements[index]
+        for index in (18, -19):
+            with pytest.raises(IndexError):
+                monoid.element(index)
+
+    def test_element_repr_shows_the_witness_text(self):
+        monoid = markov_monoid(counterexample_automaton(0.9))
+        element = monoid.element(-1)
+        assert repr(element) == \
+            f"MonoidElement(matrix={element.matrix!r}, witness='a b a b a^w')"
+        assert repr(MonoidElement(UPPER, Letter("a"))) == \
+            "MonoidElement(matrix=BooleanMatrix(rows=((1, 1), (0, 1))), witness='a')"
+
 
 class TestValue1Witness:
     def test_single_accepting_state(self):
@@ -614,3 +631,73 @@ class TestStopAtFirstWitness:
         stopped, full, is_witness = stopped_and_full(automaton)
         assert find_value1_witness(full, automaton) is None
         assert (stopped.masks, stopped.origins) == (full.masks, full.origins)
+
+
+class TestRecords:
+    """`MonoidElement` is a read-only value compared by its fields;
+    `MarkovMonoid` is a read-only table compared by identity, whose
+    `elements` are built once.  Both pickle."""
+
+    def test_element_equality_and_hash(self):
+        a, b = Letter("a"), Letter("b")
+        element = MonoidElement(UPPER, a)
+        assert element == MonoidElement(BooleanMatrix(((1, 1), (0, 1))), Letter("a"))
+        assert hash(element) == hash(MonoidElement(UPPER, a))
+        assert element != MonoidElement(UPPER, b)
+        assert element != MonoidElement(SWAP, a)
+        assert element != (UPPER, a)
+        assert len({element, MonoidElement(UPPER, a), MonoidElement(SWAP, a)}) == 2
+
+    @pytest.mark.parametrize("field", ["matrix", "witness"])
+    def test_element_fields_are_read_only(self, field):
+        element = MonoidElement(UPPER, Letter("a"))
+        with pytest.raises(AttributeError):
+            setattr(element, field, None)
+        with pytest.raises(AttributeError):
+            delattr(element, field)
+        assert (element.matrix, element.witness) == (UPPER, Letter("a"))
+
+    @pytest.mark.parametrize("field", ["masks", "origins", "generators"])
+    def test_monoid_fields_are_read_only(self, field):
+        monoid = markov_monoid(counterexample_automaton(0.9))
+        before = getattr(monoid, field)
+        with pytest.raises(AttributeError):
+            setattr(monoid, field, None)
+        with pytest.raises(AttributeError):
+            delattr(monoid, field)
+        assert getattr(monoid, field) is before
+
+    def test_monoid_compares_and_hashes_by_identity(self):
+        automaton = counterexample_automaton(0.9)
+        first, second = markov_monoid(automaton), markov_monoid(automaton)
+        assert (first.masks, first.origins) == (second.masks, second.origins)
+        assert first == first and first != second
+        assert hash(first) == object.__hash__(first)
+        assert len({first, second, first}) == 2
+
+    def test_element_pickle_round_trip(self):
+        import pickle
+        element = markov_monoid(counterexample_automaton(0.9)).elements[-1]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(element, protocol))
+            assert copy == element and hash(copy) == hash(element)
+            assert copy.witness is element.witness
+
+    def test_monoid_pickle_round_trip(self):
+        import pickle
+        monoid = markov_monoid(counterexample_automaton(0.9))
+        for built in (False, True):
+            if built:
+                monoid.elements
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(monoid, protocol))
+                assert type(copy) is MarkovMonoid and copy != monoid
+                assert (copy.masks, copy.origins, copy.generators) == \
+                    (monoid.masks, monoid.origins, monoid.generators)
+                assert copy.elements == monoid.elements
+                assert format_monoid(copy) == format_monoid(monoid)
+
+    def test_elements_are_built_once(self):
+        monoid = markov_monoid(counterexample_automaton(0.9))
+        assert monoid.elements is monoid.elements
+        assert list(monoid) == list(monoid.elements)
