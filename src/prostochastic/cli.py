@@ -39,9 +39,8 @@ def _emit(text: str, output: str | None):
 def cmd_analyze(args) -> int:
     automaton = load_automaton(args.automaton)
     # Saturation stops at the first witness, the one the lookup returns.
-    is_witness = _value1_test(automaton)
-    monoid = markov_monoid(automaton, stop=is_witness)
-    element = find_value1_witness(monoid, automaton, is_witness)
+    monoid = markov_monoid(automaton, stop=_value1_test(automaton))
+    element = find_value1_witness(monoid, automaton)
     if element is None:
         print("NO")
         return EXIT_NO

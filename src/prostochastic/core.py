@@ -14,6 +14,7 @@ imported, on the first numeric use (`entries`, `@`, `power`, `initial`).
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import sys
@@ -215,6 +216,7 @@ class BooleanMatrix:
     """
 
     __slots__ = ("masks",)
+    __setattr__ = __delattr__ = Node.__setattr__   # raises AttributeError
 
     def __init__(self, rows):
         rows = _square_rows(rows)
@@ -234,12 +236,6 @@ class BooleanMatrix:
     @classmethod
     def identity(cls, dim: int) -> "BooleanMatrix":
         return cls(tuple(tuple(1 if s == t else 0 for t in range(dim)) for s in range(dim)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BooleanMatrix is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"BooleanMatrix is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
         return BooleanMatrix, (self.rows,)
@@ -287,9 +283,7 @@ class ProbabilisticAutomaton:
     ``( ) . ^``.
     """
 
-    __slots__ = ("_states", "_alphabet", "_transitions", "_initial", "_final",
-                 "_initial_array", "_final_array")
-
+    __setattr__ = __delattr__ = Node.__setattr__   # raises AttributeError
     _RESERVED = set("().^")
 
     def __init__(self, states, alphabet, transitions, initial, final):
@@ -333,42 +327,23 @@ class ProbabilisticAutomaton:
             if type(v) is not bool:
                 raise ValueError(f"final vector must be booleans, got {type(v).__name__}")
 
-        self._states = states
-        self._alphabet = alphabet
-        self._transitions = table
-        self._initial = initial
-        self._final = final
-        self._initial_array = self._final_array = None
+        # `initial` and `_final_vector`, once built, join these in the instance dict.
+        self.__dict__.update(states=states, alphabet=alphabet, final=final,
+                             _transitions=table, _initial=initial)
 
-    @property
-    def states(self) -> tuple:
-        return self._states
-
-    @property
-    def alphabet(self) -> tuple:
-        return self._alphabet
-
-    @property
+    @functools.cached_property
     def initial(self) -> np.ndarray:
         """The initial distribution as a read-only float ndarray."""
-        if self._initial_array is None:
-            self._initial_array = _read_only_array(self._initial)
-        return self._initial_array
+        return _read_only_array(self._initial)
 
-    @property
+    @functools.cached_property
     def _final_vector(self) -> np.ndarray:
         # The 0/1 indicator of the final states, as a read-only float ndarray.
-        if self._final_array is None:
-            self._final_array = _read_only_array([1.0 if v else 0.0 for v in self._final])
-        return self._final_array
-
-    @property
-    def final(self) -> tuple:
-        return self._final
+        return _read_only_array([1.0 if v else 0.0 for v in self.final])
 
     @property
     def dim(self) -> int:
-        return len(self._states)
+        return len(self.states)
 
     def transition(self, letter: str) -> StochasticMatrix:
         try:
@@ -394,8 +369,8 @@ class ProbabilisticAutomaton:
                    for matrix in self._transitions.values() for row in matrix.rows)
 
     def __repr__(self):
-        return (f"ProbabilisticAutomaton(states={self._states!r}, "
-                f"alphabet={self._alphabet!r})")
+        return (f"ProbabilisticAutomaton(states={self.states!r}, "
+                f"alphabet={self.alphabet!r})")
 
 
 def acceptance_probability(automaton: ProbabilisticAutomaton, word: Iterable[str]) -> float:
@@ -527,7 +502,7 @@ def _require(condition, message):
 def automaton_from_json(text: str) -> ProbabilisticAutomaton:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # the latter: nesting too deep
         raise AutomatonFormatError(f"not valid JSON: {exc}") from exc
     _require(isinstance(payload, dict), "top-level value must be an object")
     for field in ("states", "alphabet", "initial", "final", "transitions"):

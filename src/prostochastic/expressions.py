@@ -22,7 +22,9 @@ class Node:
     """Immutable tree node, hash-consed (Filliâtre and Conchon, 2006): a node whose
     fields equal those of a live node (children by identity, others by value) is
     that node, so equality and hashing are identity.  Subclasses name their fields
-    in `_fields`, the first `_arity` children; `_measure` computes a schedule's length."""
+    in `_fields`, the first `_arity` children; `_measure` computes a schedule's length.
+    Expressions, word schedules and monoid elements (leaves holding a matrix
+    and a witness) are nodes."""
 
     __slots__ = ("_children", "_order", "length", "__weakref__")
     _arity = 0

@@ -143,28 +143,12 @@ def _stabilized(masks: tuple) -> tuple | None:
     return tuple(map(recurrent.__and__, masks))
 
 
-class MonoidElement:
-    """A boolean matrix together with one omega-expression denoting it;
-    equal to another element with an equal matrix and the same witness.
-    Its repr shows the witness as expression text."""
+class MonoidElement(Node):
+    """A boolean matrix together with one omega-expression denoting it.  A
+    node: one element with an equal matrix and the same witness is that
+    element.  Its repr shows the witness as expression text."""
 
-    __slots__ = ("matrix", "witness")
-    __setattr__ = __delattr__ = Node.__setattr__   # raises AttributeError
-
-    def __init__(self, matrix: BooleanMatrix, witness: OmegaExpression):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "witness", witness)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.matrix, self.witness) == (other.matrix, other.witness)
-
-    def __hash__(self):
-        return hash((self.matrix, self.witness))
-
-    def __reduce__(self):
-        return MonoidElement, (self.matrix, self.witness)
+    __slots__ = _fields = ("matrix", "witness")
 
     def __repr__(self):
         return (f"MonoidElement(matrix={self.matrix!r}, "
@@ -337,18 +321,15 @@ def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) 
     return _value1_test(automaton)(matrix.masks)
 
 
-def find_value1_witness(monoid: MarkovMonoid, automaton: ProbabilisticAutomaton,
-                        is_witness: Callable[[tuple], bool] | None = None
+def find_value1_witness(monoid: MarkovMonoid, automaton: ProbabilisticAutomaton
                         ) -> MonoidElement | None:
     """First monoid element (in discovery order) that is a value-1 witness,
     or None; the algorithm answers YES exactly when one exists.
 
-    `is_witness` is `_value1_test(automaton)` when the caller already built
-    it.  On a monoid saturated with that test as its `stop`, the answer is
-    the same as on the full monoid: the first witness ends the prefix.
+    On a monoid saturated with `_value1_test(automaton)` as its `stop`, the
+    answer is the same as on the full monoid: the first witness ends the prefix.
     """
-    if is_witness is None:
-        is_witness = _value1_test(automaton)
+    is_witness = _value1_test(automaton)
     index = next((k for k, masks in enumerate(monoid.masks) if is_witness(masks)), None)
     return None if index is None else monoid.element(index)
 

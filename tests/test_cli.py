@@ -80,6 +80,18 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: `{field}` entries must be" in captured.err
 
+    @pytest.mark.parametrize("command,options", [
+        ("analyze", []), ("monoid", []), ("simulate", ["-e", "a"]), ("reduce", []),
+    ], ids=["analyze", "monoid", "simulate", "reduce"])
+    def test_nesting_too_deep_for_json_exit_2(self, tmp_path, capsys, command, options):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main([command, str(path), *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: not valid JSON: ")
+        assert captured.err.count("\n") == 1
+
     def test_witness_deeper_than_the_recursion_limit(self, tmp_path, capsys):
         # One letter cycles 1,200 states; only the 1,199th power reaches the
         # final state from the initial one.

@@ -373,6 +373,23 @@ class TestAutomaton:
             (1.0, 0.0, 0.0), (False, True, False))
         assert not coin.is_strict
 
+    @pytest.mark.parametrize("name", ["states", "alphabet", "final", "initial", "extra"])
+    def test_fields_are_read_only(self, name):
+        automaton = funnel_automaton()
+        before = getattr(automaton, name, None)
+        for change in (lambda: setattr(automaton, name, None), lambda: delattr(automaton, name)):
+            with pytest.raises(AttributeError, match=f"immutable; cannot change '{name}'"):
+                change()
+        assert getattr(automaton, name, None) is before
+
+    def test_initial_is_one_read_only_array(self):
+        automaton = funnel_automaton()
+        initial = automaton.initial
+        assert automaton.initial is initial
+        assert not initial.flags.writeable
+        with pytest.raises(ValueError):
+            initial[0] = 0.5
+
     def test_reserved_characters_rejected_in_letters(self):
         with pytest.raises(ValueError, match="invalid letter"):
             ProbabilisticAutomaton(("s",), ("a^",), {"a^": [[1.0]]}, (1.0,), (True,))
@@ -572,6 +589,10 @@ class TestFileFormat:
     def test_not_json(self):
         with pytest.raises(AutomatonFormatError, match="JSON"):
             automaton_from_json("not json at all")
+
+    def test_nesting_too_deep_is_not_json(self):
+        with pytest.raises(AutomatonFormatError, match="^not valid JSON: "):
+            automaton_from_json("[" * 100000 + "]" * 100000)
 
 
 class TestRowReaders:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -593,7 +595,7 @@ class TestStopAtFirstWitness:
             size = len(stopped)
             assert stopped.masks == full.masks[:size]
             assert stopped.origins == full.origins[:size]
-            witness = find_value1_witness(stopped, automaton, is_witness)
+            witness = find_value1_witness(stopped, automaton)
             expected = find_value1_witness(full, automaton)
             answers.add(expected is not None)
             if expected is None:
@@ -610,7 +612,7 @@ class TestStopAtFirstWitness:
         stopped, full, is_witness = stopped_and_full(automaton)
         assert len(full) == 40320   # 8!
         assert len(stopped) == 1
-        assert find_value1_witness(stopped, automaton, is_witness).witness == Letter("a")
+        assert find_value1_witness(stopped, automaton).witness == Letter("a")
 
     @pytest.mark.parametrize("name,size", [("accepting state", 12),
                                            ("deterministic pair", 141)])
@@ -618,7 +620,7 @@ class TestStopAtFirstWitness:
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
         stopped, full, is_witness = stopped_and_full(automaton)
         assert (len(stopped), len(full)) == (size, REDUCTIONS[name][1])
-        assert find_value1_witness(stopped, automaton, is_witness) == \
+        assert find_value1_witness(stopped, automaton) == \
             find_value1_witness(full, automaton)
 
     @pytest.mark.parametrize("make", [
@@ -701,3 +703,31 @@ class TestRecords:
         monoid = markov_monoid(counterexample_automaton(0.9))
         assert monoid.elements is monoid.elements
         assert list(monoid) == list(monoid.elements)
+
+
+class TestElementsAreNodes:
+    """A `MonoidElement` is a hash-consed node: an element with an equal
+    matrix and the same witness is that element, and a copy or an unpickled
+    element whose original is alive is that original."""
+
+    def test_equal_fields_give_one_element(self):
+        a = Letter("a")
+        element = MonoidElement(UPPER, a)
+        assert element is MonoidElement(BooleanMatrix(UPPER.rows), a)
+        assert element is not MonoidElement(UPPER, Letter("b"))
+        assert element is not MonoidElement(SWAP, a)
+
+    def test_element_and_elements_agree_by_identity(self):
+        monoid = markov_monoid(counterexample_automaton(0.9))
+        assert all(monoid.element(k) is element for k, element in enumerate(monoid.elements))
+
+    def test_copy_and_pickle_give_the_same_element(self):
+        element = markov_monoid(counterexample_automaton(0.9)).elements[-1]
+        assert copy.copy(element) is element
+        assert copy.deepcopy(element) is element
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(element, protocol)) is element
+
+    def test_fields_are_positional(self):
+        with pytest.raises(TypeError):
+            MonoidElement(matrix=UPPER, witness=Letter("a"))
