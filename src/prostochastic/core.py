@@ -138,6 +138,16 @@ class StochasticMatrix:
         import numpy as np
         return cls._wrap(np.eye(dim))
 
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        # Unpickled through `_wrap`, or from the rows alone, whose ndarray is
+        # built on first use: either way the ndarray is read-only.
+        if self._rows is None:
+            return StochasticMatrix._wrap, (self._entries,)
+        return StochasticMatrix, (self._rows,)
+
     @property
     def entries(self) -> np.ndarray:
         """The entries as a read-only float ndarray."""
@@ -330,6 +340,15 @@ class ProbabilisticAutomaton:
         # `initial` and `_final_vector`, once built, join these in the instance dict.
         self.__dict__.update(states=states, alphabet=alphabet, final=final,
                              _transitions=table, _initial=initial)
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __getstate__(self):
+        # Without the cached ndarrays: an unpickled automaton builds them,
+        # read-only, on first use.
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("initial", "_final_vector")}
 
     @functools.cached_property
     def initial(self) -> np.ndarray:

@@ -113,30 +113,28 @@ def stabilize(matrix: BooleanMatrix) -> BooleanMatrix:
 
 def _stabilized(masks: tuple) -> tuple | None:
     """The masks of `stabilize`, or None when the matrix is not idempotent:
-    both tests in one pass over the distinct rows.
+    both tests in one walk over the set bits of the distinct rows.
 
-    `same` maps each row to the set of states that have it.  Row r squares
-    to the OR of the rows whose state sets meet r.  In an idempotent, state
-    t is recurrent iff t is in row t and every state in row t has row t too;
-    so when row r lies within its own states, the recurrent ones among them
-    are those in r (all of them when r is empty: they reach nothing).
+    Row r squares to the OR of the rows of the states t in r.  In an
+    idempotent each of those rows lies within r, so all of them equal r
+    exactly when their AND is r.  State t is recurrent iff t is in row t
+    and every state in row t has row t too; so when every state in row r
+    has row r, the recurrent states among them are those in r (when r is
+    empty, the states with the empty row: they reach nothing).
     """
-    same = {}
-    bit = 1
-    for row in masks:
-        same[row] = same.get(row, 0) | bit
-        bit <<= 1
-    rows = same.items()
     recurrent = targets = 0
-    for row, states in rows:
-        square = 0
-        for other, others in rows:
-            if others & row:
-                square |= other
+    for row in set(masks):
+        square, common, rest = 0, row, row
+        while rest:
+            t = rest.bit_length() - 1
+            target = masks[t]
+            square |= target
+            common &= target
+            rest ^= 1 << t
         if square != row:
             return None
-        if not row & ~states:
-            recurrent |= row or states
+        if common == row:
+            recurrent |= row or sum(1 << s for s, mask in enumerate(masks) if not mask)
         targets |= row
     if not targets & ~recurrent:
         return masks
@@ -238,42 +236,48 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool,
     """
     table, origins = [], []
     seen = set()   # the elements' masks
-
-    def add(masks, origin):
-        # True when `stop` accepts the new element.
-        seen.add(masks)
-        table.append(masks)
-        origins.append(origin)
-        return stop is not None and stop(masks)
-
-    def multiply(lefts, generators):
-        # Most products are duplicates; they add nothing.
-        for left in lefts:
-            masks = table[left]
-            for generator, lookup in generators:
-                product = tuple(map(lookup, masks))
-                if product not in seen and add(product, (Product, left, generator)):
-                    return True
-        return False
-
-    stopped = False
+    # Each new element is added inline: its masks to `seen` and `table`,
+    # its origin to `origins`, and then `stop` may end the saturation.
+    # Most products are duplicates; they add nothing.
     for letter, matrix in supports.items():
-        if matrix.masks not in seen and add(matrix.masks, (Letter, letter)):
-            stopped = True
-            break
+        masks = matrix.masks
+        if masks not in seen:
+            seen.add(masks)
+            table.append(masks)
+            origins.append((Letter, letter))
+            if stop is not None and stop(masks):
+                return tuple(table), tuple(origins)
     # Each generator's index with the lookup of its row table.
     generators = [(k, _row_table(table[k]).__getitem__) for k in range(len(table))]
     processed = 0
-    while not stopped and processed < len(table):
-        stopped = multiply((processed,), generators)
+    while processed < len(table):
+        left = table[processed]
+        for generator, lookup in generators:
+            product = tuple(map(lookup, left))
+            if product not in seen:
+                seen.add(product)
+                table.append(product)
+                origins.append((Product, processed, generator))
+                if stop is not None and stop(product):
+                    return tuple(table), tuple(origins)
         processed += 1
-        if stabilizing and not stopped:
-            stable = _stabilized(table[processed - 1])
-            if stable is not None and stable not in seen:
-                generator = (len(table), _row_table(stable).__getitem__)
-                stopped = (add(stable, (Omega, processed - 1))
-                           or multiply(range(processed), (generator,)))
-                generators.append(generator)
+        if stabilizing and (stable := _stabilized(left)) is not None and stable not in seen:
+            seen.add(stable)
+            table.append(stable)
+            origins.append((Omega, processed - 1))
+            if stop is not None and stop(stable):
+                return tuple(table), tuple(origins)
+            # The new generator meets the elements already processed.
+            generator, lookup = len(table) - 1, _row_table(stable).__getitem__
+            for k in range(processed):
+                product = tuple(map(lookup, table[k]))
+                if product not in seen:
+                    seen.add(product)
+                    table.append(product)
+                    origins.append((Product, k, generator))
+                    if stop is not None and stop(product):
+                        return tuple(table), tuple(origins)
+            generators.append((generator, lookup))
     return tuple(table), tuple(origins)
 
 

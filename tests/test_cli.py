@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -171,6 +172,24 @@ REDUCTION_DUMPS = {
               "5daa4c65db9b5dabc5c12e1cb1fd8246376e6574cac7f0b20653ab64cb46693c"),
 }
 COUNTEREXAMPLE_DUMP = "622e4a8bd903bfd3a1e543484a707844770b3b3538aeb8e665b07d3eb44f6f7f"
+# A seeded random 9-state, 3-letter automaton whose monoid finds 15
+# stabilizations mid-run, each then multiplied into the elements before it.
+RANDOM_NINE_DUMP = "1a0573d51c4f6b069e544bac7645ce575a39d9b39be70c3247f13dbe495d4c43"
+
+
+def random_nine_state_json():
+    """Each row of letters a, b, c puts equal weight on 1 or 2 of the 9
+    states, drawn from `random.Random(2)`; s0 is initial and s8 final."""
+    rng, n = random.Random(2), 9
+    transitions = {}
+    for letter in "abc":
+        transitions[letter] = []
+        for _ in range(n):
+            succ = rng.sample(range(n), rng.choice((1, 2)))
+            transitions[letter].append([1 / len(succ) if t in succ else 0 for t in range(n)])
+    return json.dumps({"states": [f"s{i}" for i in range(n)], "alphabet": list("abc"),
+                       "initial": [1] + [0] * (n - 1), "final": [False] * (n - 1) + [True],
+                       "transitions": transitions})
 
 
 def sha256(text):
@@ -195,6 +214,15 @@ class TestMonoidDumpDigests:
         assert main(["example", "-x", "0.9", "-o", str(tmp_path / "cx.json")]) == 0
         assert main(["monoid", str(tmp_path / "cx.json")]) == 0
         assert sha256(capsys.readouterr().out) == COUNTEREXAMPLE_DUMP
+
+    def test_random_nine_state(self, tmp_path, capsys):
+        path = tmp_path / "random9.json"
+        path.write_text(random_nine_state_json())
+        assert main(["monoid", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == ["elements: 11168",
+                                        "letters: 3 products: 11150 stabilizations: 15"]
+        assert sha256(out) == RANDOM_NINE_DUMP
 
 
 class TestSimulate:

@@ -10,8 +10,8 @@ import pytest
 from prostochastic import (AutomatonFormatError, BooleanMatrix, Concat, Literal,
                            Power, ProbabilisticAutomaton, StochasticMatrix,
                            acceptance_probability, automaton_from_json,
-                           automaton_to_json, boolean_product, expand_schedule,
-                           schedule_acceptance_probability)
+                           automaton_to_json, boolean_product, counterexample_automaton,
+                           expand_schedule, schedule_acceptance_probability)
 from conftest import absorbing_automaton, funnel_automaton, random_stochastic
 
 ABSORBING = [[0.5, 0.5], [0.0, 1.0]]
@@ -389,6 +389,27 @@ class TestAutomaton:
         assert not initial.flags.writeable
         with pytest.raises(ValueError):
             initial[0] = 0.5
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_copies_keep_every_array_read_only(self, protocol):
+        # The arrays are built before copying: the cached `initial` and
+        # `_final_vector`, a letter's checked rows turned into entries, and
+        # a product that holds only its ndarray.
+        automaton = counterexample_automaton(0.9)
+        letter = automaton.transition("a")
+        product = letter @ automaton.transition("b")
+        arrays = (letter.entries, automaton.initial, automaton._final_vector)
+        assert not any(array.flags.writeable for array in arrays)
+        assert copy.deepcopy(automaton) is automaton
+        assert copy.deepcopy(product) is product
+        loaded, loaded_product = pickle.loads(pickle.dumps((automaton, product), protocol))
+        for array, built in [(loaded.transition("a").entries, letter.entries),
+                             (loaded.initial, automaton.initial),
+                             (loaded._final_vector, automaton._final_vector),
+                             (loaded_product.entries, product.entries)]:
+            assert not array.flags.writeable
+            assert np.array_equal(array, built)
+        assert loaded.transition("a").rows == letter.rows
 
     def test_reserved_characters_rejected_in_letters(self):
         with pytest.raises(ValueError, match="invalid letter"):

@@ -289,6 +289,22 @@ class TestKernelAgainstDenseReference:
         assert expected.rows == as_rows(reference_stabilize(matrix)) == ((0, 0, 1),) * 3
         assert monoid_module._stabilized(BooleanMatrix(matrix).masks) == expected.masks
 
+    def test_every_matrix_up_to_dimension_4(self):
+        # All 66,066 boolean matrices of dimension 1 to 4, empty rows
+        # included: 2,496 of them are idempotent.
+        idempotents = 0
+        for d in range(1, 5):
+            row_mask = (1 << d) - 1
+            for code in range(1 << d * d):
+                masks = tuple(code >> d * s & row_mask for s in range(d))
+                dense = [[mask >> t & 1 for t in range(d)] for mask in masks]
+                expected = None
+                if reference_product(dense, dense) == dense:
+                    idempotents += 1
+                    expected = BooleanMatrix(reference_stabilize(dense)).masks
+                assert monoid_module._stabilized(masks) == expected, masks
+        assert idempotents == 2496
+
     def test_state_with_an_empty_row_keeps_its_column(self):
         # No stochastic support has an empty row, but a BooleanMatrix may:
         # such a state reaches nothing, so nothing fails to reach it back.
