@@ -15,14 +15,12 @@ _EXPORTS = {
     "core": ("AutomatonFormatError", "BooleanMatrix", "Concat", "Literal", "Power",
              "ProbabilisticAutomaton", "StochasticMatrix", "WordSchedule",
              "acceptance_probability", "automaton_from_json", "automaton_to_json",
-             "expand_schedule", "load_automaton", "schedule_acceptance_probability",
-             "schedule_matrix"),
-    "expressions": ("Letter", "Omega", "OmegaExpression", "Product", "expression_depth",
-                    "format_expression", "product_of"),
+             "load_automaton", "schedule_acceptance_probability", "schedule_matrix"),
+    "expressions": ("Letter", "Omega", "OmegaExpression", "Product", "format_expression",
+                    "product_of"),
     "monoid": ("IdempotenceError", "MarkovMonoid", "MonoidElement", "boolean_product",
                "boolean_projection", "find_value1_witness", "format_monoid", "is_idempotent",
-               "is_value1_witness", "letter_supports", "markov_monoid", "stabilize",
-               "transition_monoid"),
+               "letter_supports", "markov_monoid", "stabilize"),
     "numerics": ("ConvergenceReport", "RateFit", "SamplePoint", "estimate_limit",
                  "limit_matrix", "limit_projection", "numeric_interpretation",
                  "polynomial_exponent", "realize_polynomial", "realize_superpolynomial",
@@ -30,8 +28,8 @@ _EXPORTS = {
     "omega": ("ExpressionSyntaxError", "boolean_interpretation", "idempotent_power_exponent",
               "parse_expression", "parse_word", "repair_suggestion"),
     "reduction": ("PreconditionError", "ReductionOutput", "build_reduction",
-                  "counterexample_automaton", "round_acceptance",
-                  "round_probability_by_matrix", "round_schedule", "verify_reduction"),
+                  "counterexample_automaton", "round_acceptance", "round_schedule",
+                  "verify_reduction"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

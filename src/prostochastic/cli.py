@@ -19,9 +19,8 @@ import sys
 from collections import Counter
 
 from .core import MODES, automaton_to_json, load_automaton
-from .expressions import Letter, Omega, Product, format_expression
-from .monoid import (IdempotenceError, _value1_test, find_value1_witness,
-                     format_monoid, letter_supports, markov_monoid)
+from .expressions import Letter, Omega, Product
+from .monoid import IdempotenceError, _value1_test, format_monoid, letter_supports, markov_monoid
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -38,16 +37,18 @@ def _emit(text: str, output: str | None):
 
 def cmd_analyze(args) -> int:
     automaton = load_automaton(args.automaton)
-    # Saturation stops at the first witness, the one the lookup returns.
-    monoid = markov_monoid(automaton, stop=_value1_test(automaton))
-    element = find_value1_witness(monoid, automaton)
-    if element is None:
+    # Saturation stops at the first witness, so the answer is YES exactly
+    # when the last element found is one.
+    is_witness = _value1_test(automaton)
+    monoid = markov_monoid(automaton, stop=is_witness)
+    if not is_witness(monoid.masks[-1]):
         print("NO")
         return EXIT_NO
-    lines = ["YES", f"witness: {format_expression(element.witness)}"]
+    lines = ["YES", f"witness: {monoid.witness_text(-1)}"]
     if args.verify:
         from .numerics import estimate_limit
-        lines.append(estimate_limit(automaton, element.witness, args.mode, args.n_max).render_text())
+        witness = monoid.element(-1).witness
+        lines.append(estimate_limit(automaton, witness, args.mode, args.n_max).render_text())
     print("\n".join(lines))
     return EXIT_YES
 

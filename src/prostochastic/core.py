@@ -29,8 +29,10 @@ if TYPE_CHECKING:
 
 ROW_SUM_TOLERANCE = 1e-9
 _NUMBER_TYPES = frozenset({int, float})
+_FLOAT_MAX = sys.float_info.max
 _NOT_A_NUMBER = frozenset({"type", "nan", "range"})   # `_entry_fault`'s faults of non-numbers
 _STRICT_ENTRIES = frozenset({0.0, 0.5, 1.0})   # -0.0 is equal, and hashes equal, to 0.0
+_RESERVED = frozenset("().^")   # characters no letter token may hold
 
 # The exponent schedules that realize an omega-expression as a word schedule
 # (`numerics.realize_polynomial` and `numerics.realize_superpolynomial`).
@@ -50,7 +52,7 @@ def _entry_fault(values) -> str | None:
     if any(map(operator.ne, values, values)):
         return "nan"
     low, high = min(values), max(values)
-    if not (-sys.float_info.max <= low and high <= sys.float_info.max):
+    if not (-_FLOAT_MAX <= low and high <= _FLOAT_MAX):
         return "range"
     if low < 0:
         return "negative"
@@ -69,6 +71,31 @@ def _entry_at(fault: str, values, name: str) -> tuple:
     if fault == "range" and type(value) is int:
         raise ValueError(f"{name} must be integers or floats, got an integer beyond float range")
     return t, float(value)
+
+
+def _check_initial(initial, fault: str | None, error=ValueError):
+    # Raises `error` when `fault`, `_entry_fault(initial)`, is an entry fault.
+    if fault == "sum":
+        raise error(f"initial vector sums to {sum(initial, 0.0)!r}, expected 1")
+    if fault:
+        _entry_at(fault, initial, "initial vector")   # raises for a non-number
+        problem = "an infinite" if fault == "range" else "a negative or NaN"
+        raise error(f"initial vector has {problem} entry")
+
+
+def _names(states, alphabet, error=ValueError) -> tuple:
+    # `states` and `alphabet` as tuples of strings; raises `error` unless each is
+    # non-empty and unique and no token is empty or holds whitespace or `_RESERVED`.
+    states = tuple(map(str, states))
+    if not states or len(set(states)) != len(states):
+        raise error("states must be non-empty and unique")
+    alphabet = tuple(map(str, alphabet))
+    if not alphabet or len(set(alphabet)) != len(alphabet):
+        raise error("alphabet must be non-empty and unique")
+    for token in alphabet:
+        if not token or not _RESERVED.isdisjoint(token) or any(map(str.isspace, token)):
+            raise error(f"invalid letter token {token!r}")
+    return states, alphabet
 
 
 def _read_only_array(rows) -> np.ndarray:
@@ -119,18 +146,18 @@ class StochasticMatrix:
                 t, value = _entry_at(fault, row, "matrix entries")
                 problem = "infinite" if fault == "range" else "negative or NaN"
                 raise ValueError(f"entry {value!r} at ({s}, {t}) is {problem}")
-        self._rows = tuple(tuple(map(float, row)) for row in rows)
-        self._entries = None
+        self._rows, self._entries = tuple(tuple(map(float, row)) for row in rows), None
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "StochasticMatrix":
-        # Trusted constructor for float ndarrays that are stochastic by
-        # construction, so no entry is checked: products and powers of
-        # stochastic matrices (up to rounding) and the reduction's letters.
+    def _wrap(cls, arr: np.ndarray | None, rows: tuple | None = None) -> "StochasticMatrix":
+        # Trusted constructor, so no entry is checked: for float ndarrays that
+        # are stochastic by construction (products and powers of stochastic
+        # matrices, up to rounding, and the reduction's letters), or, with
+        # `arr` None, for row tuples of floats that the loader has checked.
         matrix = object.__new__(cls)
-        arr.flags.writeable = False
-        matrix._rows = None
-        matrix._entries = arr
+        if arr is not None:
+            arr.flags.writeable = False
+        matrix._rows, matrix._entries = rows, arr
         return matrix
 
     @classmethod
@@ -294,18 +321,9 @@ class ProbabilisticAutomaton:
     """
 
     __setattr__ = __delattr__ = Node.__setattr__   # raises AttributeError
-    _RESERVED = set("().^")
 
     def __init__(self, states, alphabet, transitions, initial, final):
-        states = tuple(str(s) for s in states)
-        if not states or len(set(states)) != len(states):
-            raise ValueError("states must be non-empty and unique")
-        alphabet = tuple(str(a) for a in alphabet)
-        if not alphabet or len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet must be non-empty and unique")
-        for token in alphabet:
-            if not token or any(c.isspace() or c in self._RESERVED for c in token):
-                raise ValueError(f"invalid letter token {token!r}")
+        states, alphabet = _names(states, alphabet)
         dim = len(states)
         table = {}
         for letter in alphabet:
@@ -321,14 +339,7 @@ class ProbabilisticAutomaton:
         initial = list(map(_python_value, _python_value(initial)))
         if len(initial) != dim:
             raise ValueError(f"initial vector must have length {dim}")
-        fault = _entry_fault(initial)
-        if fault == "sum":
-            raise ValueError(f"initial vector sums to {sum(initial, 0.0)!r}, expected 1")
-        if fault:
-            _entry_at(fault, initial, "initial vector")   # raises for a non-number
-            problem = "an infinite" if fault == "range" else "a negative or NaN"
-            raise ValueError(f"initial vector has {problem} entry")
-        initial = tuple(map(float, initial))
+        _check_initial(initial, _entry_fault(initial))
 
         final = tuple(map(_python_value, _python_value(final)))
         if len(final) != dim:
@@ -336,10 +347,17 @@ class ProbabilisticAutomaton:
         for v in final:
             if type(v) is not bool:
                 raise ValueError(f"final vector must be booleans, got {type(v).__name__}")
-
         # `initial` and `_final_vector`, once built, join these in the instance dict.
         self.__dict__.update(states=states, alphabet=alphabet, final=final,
-                             _transitions=table, _initial=initial)
+                             _transitions=table, _initial=tuple(map(float, initial)))
+
+    @classmethod
+    def _wrap(cls, states, alphabet, transitions, initial, final) -> "ProbabilisticAutomaton":
+        # Trusted constructor for fields the loader has checked, of `__init__`'s types.
+        automaton = object.__new__(cls)
+        automaton.__dict__.update(states=states, alphabet=alphabet, final=final,
+                                  _transitions=transitions, _initial=initial)
+        return automaton
 
     def __deepcopy__(self, memo):
         return self
@@ -434,24 +452,6 @@ class Power(Node):
 WordSchedule = (Literal, Concat, Power)   # the schedule node classes
 
 
-def expand_schedule(schedule: WordSchedule, limit: int = 10**6) -> tuple:
-    """Flatten a schedule into the word it denotes.
-
-    Guarded by `limit` because schedule lengths are routinely astronomical.
-    """
-    if schedule.length > limit:
-        raise ValueError(f"schedule denotes a word of length {schedule.length}, limit is {limit}")
-    words = {}
-    for node in postorder(schedule):
-        if isinstance(node, Literal):
-            words[node] = node.word
-        elif isinstance(node, Concat):
-            words[node] = words[node.left] + words[node.right]
-        else:   # a power: a schedule node's children have lengths, so are schedules
-            words[node] = words[node.child] * node.exponent
-    return words[schedule]
-
-
 def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
                     memo: dict | None = None) -> StochasticMatrix:
     """Transition matrix of the denoted word, computed without expansion.
@@ -513,66 +513,66 @@ def automaton_to_json(automaton: ProbabilisticAutomaton, state_map: Mapping | No
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _require(condition, message):
+def _require(condition, message, *args):
     if not condition:
-        raise AutomatonFormatError(message)
+        raise AutomatonFormatError(message.format(*args))
 
 
 def automaton_from_json(text: str) -> ProbabilisticAutomaton:
+    # Each fact is checked once, in this order: JSON shapes, `initial` holds numbers,
+    # each row's entries, `_names`, `initial`'s sign and sum, `strict`.
     try:
         payload = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:   # the latter: nesting too deep
         raise AutomatonFormatError(f"not valid JSON: {exc}") from exc
     _require(isinstance(payload, dict), "top-level value must be an object")
     for field in ("states", "alphabet", "initial", "final", "transitions"):
-        _require(field in payload, f"missing field {field!r}")
+        _require(field in payload, "missing field {!r}", field)
 
     states = payload["states"]
     _require(isinstance(states, list) and states, "`states` must be a non-empty array")
     dim = len(states)
     alphabet = payload["alphabet"]
     _require(isinstance(alphabet, list) and alphabet, "`alphabet` must be a non-empty array")
-    _require(all(isinstance(a, str) for a in alphabet), "`alphabet` entries must be strings")
+    _require({str}.issuperset(map(type, alphabet)), "`alphabet` entries must be strings")
 
     initial = payload["initial"]
     _require(isinstance(initial, list) and len(initial) == dim,
-             f"`initial` must be an array of {dim} numbers")
-    _require(_entry_fault(initial) not in _NOT_A_NUMBER, "`initial` entries must be numbers")
+             "`initial` must be an array of {} numbers", dim)
+    initial_fault = _entry_fault(initial)
+    _require(initial_fault not in _NOT_A_NUMBER, "`initial` entries must be numbers")
     final = payload["final"]
     _require(isinstance(final, list) and len(final) == dim,
-             f"`final` must be an array of {dim} booleans")
-    _require(all(isinstance(v, bool) for v in final), "`final` entries must be booleans")
+             "`final` must be an array of {} booleans", dim)
+    _require({bool}.issuperset(map(type, final)), "`final` entries must be booleans")
 
     transitions_raw = payload["transitions"]
     _require(isinstance(transitions_raw, dict), "`transitions` must be an object")
     transitions = {}
     for letter in alphabet:
-        _require(letter in transitions_raw, f"missing transitions for letter {letter!r}")
+        _require(letter in transitions_raw, "missing transitions for letter {!r}", letter)
         rows = transitions_raw[letter]
-        _require(isinstance(rows, list), f"transitions for {letter!r} must be an array")
+        _require(isinstance(rows, list), "transitions for {!r} must be an array", letter)
         if rows and not isinstance(rows[0], list):
             _require(len(rows) == dim * dim,
-                     f"flat transition array for {letter!r} must have {dim * dim} entries")
+                     "flat transition array for {!r} must have {} entries", letter, dim * dim)
             rows = [rows[i * dim:(i + 1) * dim] for i in range(dim)]
-        _require(len(rows) == dim and all(isinstance(r, list) and len(r) == dim for r in rows),
-                 f"transitions for {letter!r} must form a {dim}x{dim} matrix")
-        try:
-            transitions[letter] = StochasticMatrix(rows)
-        except ValueError as exc:   # an entry fault: name the first row at fault
-            i, fault = next((i, f) for i, f in enumerate(map(_entry_fault, rows)) if f)
-            if fault in _NOT_A_NUMBER:
-                problem = "entries must be numbers"
-            elif fault == "negative":
-                problem = "negative entry"
-            else:   # an exact integer for integer rows, as `[1, 1]` sums to 2
-                problem = f"sums to {sum(rows[i])!r}, expected 1"
-            raise AutomatonFormatError(f"letter {letter!r}, row {i} ({states[i]!r}): "
-                                       f"{problem}") from exc
+        _require(len(rows) == dim and {list}.issuperset(map(type, rows))
+                 and {dim} == set(map(len, rows)),
+                 "transitions for {0!r} must form a {1}x{1} matrix", letter, dim)
+        for i, fault in enumerate(map(_entry_fault, rows)):
+            if fault:   # the sum of an integer row is exact, as `[1, 1]` sums to 2
+                raise AutomatonFormatError(f"letter {letter!r}, row {i} ({states[i]!r}): " + (
+                    "entries must be numbers" if fault in _NOT_A_NUMBER else
+                    "negative entry" if fault == "negative" else
+                    f"sums to {sum(rows[i])!r}, expected 1"))
+        rows = tuple(tuple(map(float, row)) for row in rows)
+        transitions[letter] = StochasticMatrix._wrap(None, rows)
 
-    try:
-        automaton = ProbabilisticAutomaton(states, alphabet, transitions, initial, final)
-    except (TypeError, ValueError) as exc:
-        raise AutomatonFormatError(str(exc)) from exc
+    names = _names(states, alphabet, AutomatonFormatError)
+    _check_initial(initial, initial_fault, AutomatonFormatError)
+    automaton = ProbabilisticAutomaton._wrap(*names, transitions, tuple(map(float, initial)),
+                                             tuple(final))
 
     if "strict" in payload:
         _require(isinstance(payload["strict"], bool), "`strict` must be a boolean")

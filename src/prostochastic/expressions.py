@@ -132,15 +132,6 @@ def product_of(factors) -> OmegaExpression:
     return expr
 
 
-def expression_depth(expr: OmegaExpression) -> int:
-    depths = {}
-    for node in postorder(expr):
-        if not isinstance(node, OmegaExpression):
-            raise TypeError(f"not an omega-expression: {node!r}")
-        depths[node] = 1 + max((depths[child] for child in node._children), default=0)
-    return depths[expr]
-
-
 class _Text(str):
     """Punctuation on `format_expression`'s stack, unlike any child."""
 

@@ -8,6 +8,7 @@ stabilization, saturation) is computed symbolically, never from floats.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .core import BooleanMatrix, ProbabilisticAutomaton, StochasticMatrix
 from .expressions import Letter, Node, Omega, OmegaExpression, Product, format_expression
@@ -76,7 +77,7 @@ class _Memo(dict):
 
 def _row_table(rows: tuple) -> _Memo:
     """Row mask -> that row of a product whose right operand has the masks
-    `rows`, filled on first use: `tuple(map(table.__getitem__, left_masks))`
+    `rows`, filled on first use: `operator.itemgetter(*left_masks)(table)`
     is the product's masks, one lookup per row; each distinct row is ORed once."""
     return _Memo(lambda mask: _or_rows(mask, rows))
 
@@ -180,6 +181,16 @@ class MarkovMonoid:
         """Element `index`, indexed as `elements` is, building only the
         witnesses that its own is built from."""
         index = range(len(self))[index]
+        witness = self._witnesses(self._factors(index))[index]
+        return MonoidElement(BooleanMatrix._wrap(self.masks[index]), witness)
+
+    def witness_text(self, index: int) -> str:
+        """`format_expression` of element `index`'s witness, built without nodes."""
+        index = range(len(self))[index]
+        return self._texts(self._factors(index))[index]
+
+    def _factors(self, index: int) -> list:
+        """`index` and the indices its witness is built from, ascending."""
         # Every factor's index is below its element's, so a descending scan
         # reaches each element before its factors.
         needed = {index}
@@ -188,8 +199,7 @@ class MarkovMonoid:
                 kind, *factors = self.origins[k]
                 if kind is not Letter:
                     needed.update(factors)
-        witness = self._witnesses(sorted(needed))[index]
-        return MonoidElement(BooleanMatrix._wrap(self.masks[index]), witness)
+        return sorted(needed)
 
     def _witnesses(self, indices) -> dict:
         """Index -> witness, for ascending `indices` that hold the factors of
@@ -202,6 +212,24 @@ class MarkovMonoid:
             else:
                 witnesses[k] = kind(*map(witnesses.__getitem__, factors))
         return witnesses
+
+    def _texts(self, indices) -> dict:
+        """Index -> witness text, for `indices` as `_witnesses` takes them.
+        Each text is built from its factors' texts, as `format_expression`
+        renders the witness: a product's right factor is a generator, never
+        a product, so only an omega of a product needs parentheses."""
+        origins, texts = self.origins, {}
+        for k in indices:
+            kind, *factors = origins[k]
+            if kind is Letter:
+                texts[k] = factors[0]
+            elif kind is Product:
+                texts[k] = f"{texts[factors[0]]} {texts[factors[1]]}"
+            elif origins[factors[0]][0] is Product:
+                texts[k] = f"({texts[factors[0]]})^w"
+            else:
+                texts[k] = f"{texts[factors[0]]}^w"
+        return texts
 
     def _matrices(self):
         return map(BooleanMatrix._wrap, self.masks)
@@ -247,13 +275,19 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool,
             origins.append((Letter, letter))
             if stop is not None and stop(masks):
                 return tuple(table), tuple(origins)
-    # Each generator's index with the lookup of its row table.
-    generators = [(k, _row_table(table[k]).__getitem__) for k in range(len(table))]
+    # Each generator's index with its row table.  Element `left` times the
+    # generator with row table `rows` is `getter(*left)(rows)`: one C call
+    # that looks up each row of `left` (`itemgetter` of one key returns the
+    # bare item, so a one-state matrix's row goes in a tuple).
+    generators = [(k, _row_table(table[k])) for k in range(len(table))]
+    getter = (operator.itemgetter if table and len(table[0]) > 1
+              else lambda mask: lambda rows: (rows[mask],))
     processed = 0
     while processed < len(table):
         left = table[processed]
-        for generator, lookup in generators:
-            product = tuple(map(lookup, left))
+        fetch = getter(*left)
+        for generator, rows in generators:
+            product = fetch(rows)
             if product not in seen:
                 seen.add(product)
                 table.append(product)
@@ -268,25 +302,17 @@ def _saturate(supports: Mapping[str, BooleanMatrix], stabilizing: bool,
             if stop is not None and stop(stable):
                 return tuple(table), tuple(origins)
             # The new generator meets the elements already processed.
-            generator, lookup = len(table) - 1, _row_table(stable).__getitem__
+            generator, rows = len(table) - 1, _row_table(stable)
             for k in range(processed):
-                product = tuple(map(lookup, table[k]))
+                product = getter(*table[k])(rows)
                 if product not in seen:
                     seen.add(product)
                     table.append(product)
                     origins.append((Product, k, generator))
                     if stop is not None and stop(product):
                         return tuple(table), tuple(origins)
-            generators.append((generator, lookup))
+            generators.append((generator, rows))
     return tuple(table), tuple(origins)
-
-
-def transition_monoid(automaton: ProbabilisticAutomaton) -> tuple:
-    """All supports reachable by finite words: the closure of the letter
-    projections under boolean product, in discovery order (the letters,
-    then each element times each letter)."""
-    masks, _ = _saturate(letter_supports(automaton), stabilizing=False)
-    return tuple(map(BooleanMatrix._wrap, masks))
 
 
 def markov_monoid(automaton: ProbabilisticAutomaton,
@@ -320,11 +346,6 @@ def _value1_test(automaton: ProbabilisticAutomaton) -> Callable[[tuple], bool]:
     return lambda masks: not any(masks[s] & rejecting for s in initial)
 
 
-def is_value1_witness(matrix: BooleanMatrix, automaton: ProbabilisticAutomaton) -> bool:
-    """Every transition from an initially-supported state lands in a final state."""
-    return _value1_test(automaton)(matrix.masks)
-
-
 def find_value1_witness(monoid: MarkovMonoid, automaton: ProbabilisticAutomaton
                         ) -> MonoidElement | None:
     """First monoid element (in discovery order) that is a value-1 witness,
@@ -340,22 +361,9 @@ def find_value1_witness(monoid: MarkovMonoid, automaton: ProbabilisticAutomaton
 
 def format_monoid(monoid: MarkovMonoid) -> str:
     """One line per element: row-major bitstring, then the witness expression."""
-    # Each witness's text is built from its factors' texts, as
-    # `format_expression` would render it: a product's right factor is a
-    # generator, never a product.  Each distinct row mask is rendered once;
-    # bit t is column t, so a row reads as the mask's binary digits in
-    # reverse.
-    texts = []
-    for kind, *factors in monoid.origins:
-        if kind is Letter:
-            text = factors[0]
-        elif kind is Product:
-            text = f"{texts[factors[0]]} {texts[factors[1]]}"
-        elif monoid.origins[factors[0]][0] is Product:
-            text = f"({texts[factors[0]]})^w"
-        else:
-            text = f"{texts[factors[0]]}^w"
-        texts.append(text)
+    # Each distinct row mask is rendered once; bit t is column t, so a row
+    # reads as the mask's binary digits in reverse.
+    texts = monoid._texts(range(len(monoid))).values()
     width = f"0{len(monoid.masks[0])}b" if monoid.masks else ""
     rows = _Memo(lambda mask: format(mask, width)[::-1])
     return "\n".join(f"{''.join(map(rows.__getitem__, masks))} {text}"

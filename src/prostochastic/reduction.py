@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Concat, Literal, Power, ProbabilisticAutomaton, StochasticMatrix,
-                   WordSchedule, acceptance_probability, schedule_acceptance_probability)
+                   WordSchedule, acceptance_probability)
 from .numerics import (ConvergenceReport, polynomial_exponent, superpolynomial_exponent,
                        sweep)
 
@@ -198,12 +198,6 @@ def round_schedule(n: int, word_length: int) -> tuple:
 def round_word(word, k: int, rounds: int) -> WordSchedule:
     """The schedule of (check (w end)^k)^rounds."""
     return Power(Concat(Literal((CHECK,)), Power(Literal(tuple(word) + (END,)), k)), rounds)
-
-
-def round_probability_by_matrix(reduction: ReductionOutput, word, k: int, rounds: int) -> float:
-    """Acceptance probability of (check (w end)^k)^rounds on the built
-    automaton, evaluated by structured matrix powering."""
-    return schedule_acceptance_probability(reduction.automaton, round_word(word, k, rounds))
 
 
 def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,

@@ -125,6 +125,63 @@ def brute_force_word_closure(automaton):
     return matrices
 
 
+def transition_monoid(automaton):
+    """Oracle for the transition monoid: all supports reachable by finite
+    words, the closure of the letter projections under boolean product, in
+    discovery order (the letters, then each element times each letter)."""
+    from prostochastic import BooleanMatrix, monoid
+
+    masks, _ = monoid._saturate(monoid.letter_supports(automaton), stabilizing=False)
+    return tuple(map(BooleanMatrix._wrap, masks))
+
+
+def is_value1_witness(matrix, automaton):
+    """Every transition from an initially-supported state lands in a final
+    state."""
+    return all(automaton.final[t] for s in automaton.initial_support()
+               for t, entry in enumerate(matrix.rows[s]) if entry)
+
+
+def expression_depth(expr):
+    """Height of an omega-expression: a letter has depth 1."""
+    from prostochastic import OmegaExpression
+    from prostochastic.expressions import postorder
+
+    depths = {}
+    for node in postorder(expr):
+        if not isinstance(node, OmegaExpression):
+            raise TypeError(f"not an omega-expression: {node!r}")
+        depths[node] = 1 + max((depths[child] for child in node._children), default=0)
+    return depths[expr]
+
+
+def expand_schedule(schedule, limit=10**6):
+    """The word a schedule denotes, flattened; guarded by `limit`, because
+    schedule lengths are routinely astronomical."""
+    from prostochastic import Concat, Literal
+    from prostochastic.expressions import postorder
+
+    if schedule.length > limit:
+        raise ValueError(f"schedule denotes a word of length {schedule.length}, limit is {limit}")
+    words = {}
+    for node in postorder(schedule):
+        if isinstance(node, Literal):
+            words[node] = node.word
+        elif isinstance(node, Concat):
+            words[node] = words[node.left] + words[node.right]
+        else:   # a power: a schedule node's children have lengths, so are schedules
+            words[node] = words[node.child] * node.exponent
+    return words[schedule]
+
+
+def round_probability_by_matrix(built, word, k, rounds):
+    """Acceptance probability of (check (w end)^k)^rounds on the built
+    reduction automaton, evaluated by structured matrix powering."""
+    from prostochastic import schedule_acceptance_probability
+
+    return schedule_acceptance_probability(built.automaton, reduction.round_word(word, k, rounds))
+
+
 def direct_round_sum(p_win, p_lose, rounds):
     """Term-by-term evaluation of the round acceptance probability."""
     return sum((1.0 - (p_win + p_lose)) ** (i - 1) * p_win for i in range(1, rounds))

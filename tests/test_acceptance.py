@@ -12,21 +12,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from prostochastic import (Concat, IdempotenceError, Letter, Literal, Omega,
-                           Power, Product, acceptance_probability,
-                           boolean_interpretation, boolean_projection,
-                           build_reduction, counterexample_automaton,
-                           estimate_limit, expression_depth,
-                           find_value1_witness, is_idempotent, limit_matrix,
-                           limit_projection, markov_monoid,
-                           numeric_interpretation, polynomial_exponent,
-                           round_acceptance, round_probability_by_matrix,
-                           schedule_acceptance_probability, stabilize,
-                           superpolynomial_exponent, transition_monoid,
-                           verify_reduction)
-from conftest import (absorbing_automaton, brute_force_word_closure,
-                      coin_automaton, direct_round_sum, funnel_automaton,
-                      random_quarter_automaton, random_stochastic)
+from prostochastic import (Concat, IdempotenceError, Letter, Literal, Omega, Power, Product,
+                           acceptance_probability, boolean_interpretation, boolean_projection,
+                           build_reduction, counterexample_automaton, estimate_limit,
+                           find_value1_witness, is_idempotent, limit_matrix, limit_projection,
+                           markov_monoid, numeric_interpretation, polynomial_exponent,
+                           round_acceptance, schedule_acceptance_probability, stabilize,
+                           superpolynomial_exponent, verify_reduction)
+from conftest import (absorbing_automaton, brute_force_word_closure, coin_automaton,
+                      direct_round_sum, expression_depth, funnel_automaton,
+                      random_quarter_automaton, random_stochastic, round_probability_by_matrix,
+                      transition_monoid)
 
 # Values pinned by the pre-build oracles.
 SUPERPOLYNOMIAL_THRESHOLD_K = 4      # first k with Pr((ba^k)^(2^k)) > 0.99

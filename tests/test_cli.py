@@ -134,6 +134,41 @@ class TestAnalyze:
         assert main(["analyze", "/nonexistent/automaton.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_answer_and_witness_are_the_librarys(self, tmp_path, capsys):
+        # The witness line is printed from the stopped element table; it must
+        # read as `format_expression` renders the full monoid's first witness.
+        from prostochastic import (estimate_limit, find_value1_witness, format_expression,
+                                   markov_monoid)
+        rng = random.Random(2026)
+        answers, verified = [], 0
+        for k in range(320):
+            n = rng.randint(2, 5)
+
+            def row():
+                support = rng.sample(range(n), rng.choice((1, 2)))
+                return [1.0 / len(support) if t in support else 0.0 for t in range(n)]
+
+            transitions = {x: [row() for _ in range(n)] for x in "ab"}
+            automaton = ProbabilisticAutomaton([f"s{i}" for i in range(n)], ("a", "b"),
+                                               transitions, row(),
+                                               [rng.random() < 0.4 for _ in range(n)])
+            path = write(tmp_path, f"r{k}.json", automaton)
+            element = find_value1_witness(markov_monoid(automaton), automaton)
+            code = main(["analyze", path])
+            out = capsys.readouterr().out
+            answers.append(element is not None)
+            if element is None:
+                assert (code, out) == (1, "NO\n")
+                continue
+            expected = f"YES\nwitness: {format_expression(element.witness)}\n"
+            assert (code, out) == (0, expected)
+            if verified < 12:
+                verified += 1
+                report = estimate_limit(automaton, element.witness, "polynomial", 3)
+                assert main(["analyze", path, "--verify", "-n", "3"]) == 0
+                assert capsys.readouterr().out == expected + report.render_text() + "\n"
+        assert 0.3 < sum(answers) / len(answers) < 0.9
+
 
 class TestMonoid:
     def test_single_state(self, tmp_path, capsys):

@@ -7,12 +7,11 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 import pytest
 
-from prostochastic import (AutomatonFormatError, BooleanMatrix, Concat, Literal,
-                           Power, ProbabilisticAutomaton, StochasticMatrix,
-                           acceptance_probability, automaton_from_json,
-                           automaton_to_json, boolean_product, counterexample_automaton,
-                           expand_schedule, schedule_acceptance_probability)
-from conftest import absorbing_automaton, funnel_automaton, random_stochastic
+from prostochastic import (AutomatonFormatError, BooleanMatrix, Concat, Literal, Power,
+                           ProbabilisticAutomaton, StochasticMatrix, acceptance_probability,
+                           automaton_from_json, automaton_to_json, boolean_product,
+                           counterexample_automaton, schedule_acceptance_probability)
+from conftest import absorbing_automaton, expand_schedule, funnel_automaton, random_stochastic
 
 ABSORBING = [[0.5, 0.5], [0.0, 1.0]]
 
@@ -614,6 +613,119 @@ class TestFileFormat:
     def test_nesting_too_deep_is_not_json(self):
         with pytest.raises(AutomatonFormatError, match="^not valid JSON: "):
             automaton_from_json("[" * 100000 + "]" * 100000)
+
+    # Files that break two facts at once, as changes to TEMPLATE's fields,
+    # and the one message each gives: the first in the loader's order (JSON
+    # shapes, `initial` holds numbers, each row's entries, the names,
+    # `initial`'s sign and sum, `strict`).
+    TWO_FAULTS = {
+        "duplicate-states-initial-sum": (
+            {"states": ["s", "s"], "initial": [1, 1]}, "states must be non-empty and unique"),
+        "reserved-token-negative-initial": (
+            {"alphabet": ["a("], "initial": [1.5, -0.5],
+             "transitions": {"a(": [[0.5, 0.5], [0, 1]]}}, "invalid letter token 'a('"),
+        "duplicate-letters-negative-initial": (
+            {"alphabet": ["a", "a"], "initial": [2, -1]}, "alphabet must be non-empty and unique"),
+        "whitespace-token-initial-sum": (
+            {"alphabet": ["a b"], "initial": [1, 1], "transitions": {"a b": [[0.5, 0.5], [0, 1]]}},
+            "invalid letter token 'a b'"),
+        "reserved-token-duplicate-states": (
+            {"states": ["s", "s"], "alphabet": ["a^"],
+             "transitions": {"a^": [[0.5, 0.5], [0, 1]]}}, "states must be non-empty and unique"),
+        "negative-initial-row-sum": (
+            {"initial": [1.5, -0.5], "transitions": {"a": [[0.4, 0.5], [0, 1]]}},
+            "letter 'a', row 0 ('s0'): sums to 0.9, expected 1"),
+        "nan-initial-integer-final": (
+            {"initial": [float("nan"), 1], "final": [0, 1]}, "`initial` entries must be numbers"),
+        "initial-sum-integer-final": (
+            {"initial": [1, 1], "final": [0, 1]}, "`final` entries must be booleans"),
+        "row-sum-then-row-type": (
+            {"transitions": {"a": [[0.4, 0.5], ["x", 1]]}},
+            "letter 'a', row 0 ('s0'): sums to 0.9, expected 1"),
+        "duplicate-states-second-letter-row": (
+            {"states": ["s", "s"], "alphabet": ["a", "b"],
+             "transitions": {"a": [[0.5, 0.5], [0, 1]], "b": [[0.5, 0.6], [0, 1]]}},
+            "letter 'b', row 0 ('s'): sums to 1.1, expected 1"),
+        "integer-states-row-sum": (
+            {"states": [1, "1"], "transitions": {"a": [[0.4, 0.5], [0, 1]]}},
+            "letter 'a', row 0 (1): sums to 0.9, expected 1"),
+        "negative-initial-strict-mismatch": (
+            {"initial": [2, -1], "strict": False}, "initial vector has a negative or NaN entry"),
+    }
+
+    @pytest.mark.parametrize("name", list(TWO_FAULTS))
+    def test_two_faults_give_the_first_message(self, name):
+        changes, message = self.TWO_FAULTS[name]
+        payload = {**json.loads(self.TEMPLATE % ("1, 0", "0.5, 0.5")), **changes}
+        with pytest.raises(AutomatonFormatError) as caught:
+            automaton_from_json(json.dumps(payload))
+        assert str(caught.value) == message
+
+    @staticmethod
+    def files():
+        """The JSON texts of the four reductions and of seeded random
+        automata with integer and float entries, flat and nested rows."""
+        from prostochastic import build_reduction
+        from conftest import coin_automaton, single_state_automaton
+        pair = ProbabilisticAutomaton(("s0", "s1"), ("a",), {"a": [[0, 1], [0, 1]]},
+                                      (1, 0), (False, True))
+        texts = [automaton_to_json(build_reduction(base).automaton)
+                 for base in (single_state_automaton(True), single_state_automaton(False),
+                              pair, coin_automaton(0.7))]
+        rng = random.Random(2611)
+        for _ in range(80):
+            n = rng.randint(1, 5)
+            letters = ["a", "b", "check"][:rng.randint(1, 3)]
+
+            def row():
+                support = rng.sample(range(n), rng.choice((1, 2)) if n > 1 else 1)
+                weights = [rng.choice((1, 0.5, 0.25, 0.1)) for _ in support]
+                return [weights[support.index(t)] / sum(weights) if t in support else 0
+                        for t in range(n)]
+
+            transitions = {x: [row() for _ in range(n)] for x in letters}
+            payload = {"states": [f"q{k}" for k in range(n)], "alphabet": letters,
+                       "initial": row(), "final": [rng.random() < 0.4 for _ in range(n)],
+                       "transitions": {x: rows if rng.random() < 0.8 else sum(rows, [])
+                                       for x, rows in transitions.items()}}
+            texts.append(json.dumps(payload))
+        return texts
+
+    def test_loader_builds_what_the_constructors_build(self):
+        strict = set()
+        for text in self.files():
+            payload = json.loads(text)
+            loaded = automaton_from_json(text)
+            dim = len(payload["states"])
+            rows = {x: m if isinstance(m[0], list) else [m[i * dim:(i + 1) * dim]
+                                                           for i in range(dim)]
+                    for x, m in payload["transitions"].items()}
+            built = ProbabilisticAutomaton(payload["states"], payload["alphabet"], rows,
+                                           payload["initial"], payload["final"])
+            for name in ("states", "alphabet", "final", "_initial", "is_strict"):
+                assert getattr(loaded, name) == getattr(built, name), name
+            for letter in built.alphabet:
+                assert loaded.transition(letter).rows == built.transition(letter).rows
+                assert all(type(v) is float for row in loaded.transition(letter).rows
+                           for v in row)
+            assert all(type(v) is float for v in loaded._initial)
+            strict.add(loaded.is_strict)
+        assert strict == {True, False}
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_loaded_arrays_are_read_only_and_pickle_without_caches(self, protocol):
+        loaded = automaton_from_json(automaton_to_json(funnel_automaton()))
+        letter = loaded.transition("a")
+        arrays = (letter.entries, loaded.initial, loaded._final_vector)
+        assert not any(array.flags.writeable for array in arrays)
+        copied = pickle.loads(pickle.dumps(loaded, protocol))
+        assert "initial" not in vars(copied) and "_final_vector" not in vars(copied)
+        assert copied.transition("a")._entries is None
+        for array, built in [(copied.transition("a").entries, letter.entries),
+                             (copied.initial, loaded.initial),
+                             (copied._final_vector, loaded._final_vector)]:
+            assert not array.flags.writeable
+            assert np.array_equal(array, built)
 
 
 class TestRowReaders:

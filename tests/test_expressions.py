@@ -12,14 +12,12 @@ import numpy as np
 import pytest
 
 from prostochastic import (Concat, Letter, Literal, Omega, Power, Product,
-                           boolean_interpretation, boolean_product,
-                           expand_schedule, expression_depth, format_expression,
-                           letter_supports, numeric_interpretation,
-                           parse_expression, product_of, realize_polynomial,
-                           schedule_matrix)
+                           boolean_interpretation, boolean_product, format_expression,
+                           letter_supports, numeric_interpretation, parse_expression,
+                           product_of, realize_polynomial, schedule_matrix)
 from prostochastic import expressions
 from prostochastic.expressions import postorder
-from conftest import funnel_automaton
+from conftest import expand_schedule, expression_depth, funnel_automaton
 
 
 class TestHashConsing:

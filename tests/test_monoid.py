@@ -11,15 +11,13 @@ import prostochastic.monoid as monoid_module
 from prostochastic import (BooleanMatrix, IdempotenceError, Letter, MarkovMonoid,
                            MonoidElement, Omega, ProbabilisticAutomaton, Product,
                            StochasticMatrix, boolean_interpretation, boolean_product,
-                           boolean_projection, build_reduction,
-                           counterexample_automaton, find_value1_witness,
-                           format_expression, format_monoid, is_idempotent,
-                           is_value1_witness, markov_monoid, parse_expression,
-                           stabilize, transition_monoid)
-from conftest import (absorbing_automaton, brute_force_word_closure,
-                      coin_automaton, funnel_automaton, permutation_automaton,
-                      random_quarter_automaton, random_stochastic,
-                      single_state_automaton, symmetric_group_automaton)
+                           boolean_projection, build_reduction, counterexample_automaton,
+                           find_value1_witness, format_expression, format_monoid,
+                           is_idempotent, markov_monoid, parse_expression, stabilize)
+from conftest import (absorbing_automaton, brute_force_word_closure, coin_automaton,
+                      funnel_automaton, is_value1_witness, permutation_automaton,
+                      random_quarter_automaton, random_stochastic, single_state_automaton,
+                      symmetric_group_automaton, transition_monoid)
 
 UPPER = BooleanMatrix(((1, 1), (0, 1)))
 SWAP = BooleanMatrix(((0, 1), (1, 0)))
@@ -552,6 +550,16 @@ class TestReductionMonoids:
         for element in monoid:
             assert boolean_interpretation(element.witness, monoid.generators) == \
                 element.matrix, format_expression(element.witness)
+
+    def test_witness_text_renders_each_witness(self, name):
+        monoid = markov_monoid(build_reduction(REDUCTIONS[name][0]()).automaton)
+        texts = [format_expression(element.witness) for element in monoid]
+        assert [monoid.witness_text(k) for k in range(len(monoid))] == texts
+        assert monoid.witness_text(-1) == texts[-1]
+        assert format_monoid(monoid).splitlines() == [
+            f"{element.matrix.bitstring()} {text}" for element, text in zip(monoid, texts)]
+        with pytest.raises(IndexError):
+            monoid.witness_text(len(monoid))
 
     def test_each_element_meets_each_generator_once(self, name, monkeypatch):
         # |M| * |G| right products, and one idempotence test per element,

@@ -6,23 +6,19 @@ import threading
 import numpy as np
 import pytest
 
-from prostochastic import (Concat, IdempotenceError, Literal, Power,
-                           ProbabilisticAutomaton, SamplePoint,
-                           StochasticMatrix, boolean_interpretation,
-                           boolean_projection, counterexample_automaton,
-                           estimate_limit,
-                           expand_schedule, is_idempotent, limit_matrix,
-                           limit_projection, markov_monoid, numeric_interpretation,
-                           parse_expression, polynomial_exponent,
+from prostochastic import (Concat, IdempotenceError, Literal, Power, ProbabilisticAutomaton,
+                           SamplePoint, StochasticMatrix, boolean_interpretation,
+                           boolean_projection, counterexample_automaton, estimate_limit,
+                           is_idempotent, limit_matrix, limit_projection, markov_monoid,
+                           numeric_interpretation, parse_expression, polynomial_exponent,
                            realize_polynomial, realize_superpolynomial,
                            schedule_acceptance_probability, stabilize,
                            superpolynomial_exponent)
 from prostochastic.numerics import build_report
 from prostochastic import numerics
-from conftest import (absorbing_automaton, funnel_automaton, power_nodes,
-                      squaring_chain_lengths,
-                      random_quarter_automaton, random_stochastic,
-                      single_state_automaton)
+from conftest import (absorbing_automaton, expand_schedule, funnel_automaton, power_nodes,
+                      random_quarter_automaton, random_stochastic, single_state_automaton,
+                      squaring_chain_lengths)
 
 ABSORBING = StochasticMatrix([[0.5, 0.5], [0.0, 1.0]])
 FACTORIALS = [math.factorial(k) for k in range(1, 480)]   # past 2^3481

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 from prostochastic import (BooleanMatrix, ExpressionSyntaxError,
                            IdempotenceError, Letter, Omega, Product,
                            boolean_interpretation, boolean_product,
-                           expression_depth, format_expression,
-                           counterexample_automaton, idempotent_power_exponent,
+                           format_expression, counterexample_automaton,
+                           idempotent_power_exponent,
                            letter_supports, parse_expression, parse_word,
                            product_of, repair_suggestion)
+from conftest import expression_depth
 
 AB = ("a", "b")
 METACHARACTERS = ("w", "a*", "+", "1x")

@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prostochastic import (Concat, Literal, Power, PreconditionError,
-                           ProbabilisticAutomaton, automaton_from_json,
-                           automaton_to_json, build_reduction,
-                           counterexample_automaton, round_acceptance,
-                           round_probability_by_matrix, round_schedule,
-                           StochasticMatrix, schedule_acceptance_probability,
-                           schedule_matrix, verify_reduction)
+from prostochastic import (Concat, Literal, Power, PreconditionError, ProbabilisticAutomaton,
+                           automaton_from_json, automaton_to_json, build_reduction,
+                           counterexample_automaton, round_acceptance, round_schedule,
+                           StochasticMatrix, schedule_acceptance_probability, schedule_matrix,
+                           verify_reduction)
 from prostochastic.numerics import polynomial_exponent, superpolynomial_exponent
 from prostochastic.reduction import CHECK, END
-from conftest import (coin_automaton, direct_round_sum, funnel_automaton,
-                      power_nodes, single_state_automaton, squaring_chain_lengths)
+from conftest import (coin_automaton, direct_round_sum, funnel_automaton, power_nodes,
+                      round_probability_by_matrix, single_state_automaton,
+                      squaring_chain_lengths)
 
 
 class TestCounterexampleAutomaton:
