@@ -196,10 +196,11 @@ class StochasticMatrix:
     def __matmul__(self, other: "StochasticMatrix") -> "StochasticMatrix":
         if not isinstance(other, StochasticMatrix):
             return NotImplemented
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        left, right = self.entries, other.entries
+        if len(left) != len(right):
+            raise ValueError(f"dimension mismatch: {len(left)} vs {len(right)}")
         # ndarray.dot: the same BLAS product as `@`, with about half the call overhead at 5x5.
-        return StochasticMatrix._wrap(self.entries.dot(other.entries))
+        return StochasticMatrix._wrap(left.dot(right))
 
     def power(self, exponent: int, squares: list | None = None) -> "StochasticMatrix":
         """Exponentiation by squaring; the exponent may be a big integer.
@@ -394,8 +395,13 @@ class ProbabilisticAutomaton:
 
     def word_matrix(self, word: Iterable[str]) -> StochasticMatrix:
         """Product of the letter matrices; the empty word maps to identity."""
-        result = StochasticMatrix.identity(self.dim)
-        for letter in word:
+        word = tuple(word)
+        if not word:
+            return StochasticMatrix.identity(self.dim)
+        # `identity @ A` is A with each -0.0 turned to 0.0, the bits that
+        # adding 0.0 gives without the product.
+        result = StochasticMatrix._wrap(self.transition(word[0]).entries + 0.0)
+        for letter in word[1:]:
             result = result @ self.transition(letter)
         return result
 

@@ -154,33 +154,52 @@ def realize_polynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     Letters stay literal, products concatenate, and omega raises the
     realized child to the largest factorial below n times its length.
     """
-    return _schedule(expr, _exponents(expr, n, "polynomial"))
+    return _schedule(expr, _exponents(_plan(expr), n, "polynomial"))
 
 
 def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     """Polynomial realization raised to the super-polynomial exponent."""
-    return _schedule(expr, _exponents(expr, n, "superpolynomial"))
+    return _schedule(expr, _exponents(_plan(expr), n, "superpolynomial"))
 
 
-def _exponents(expr: OmegaExpression, n: int, mode: str) -> tuple:
-    """The exponents of the n-th realization, as ints: one per omega node in
-    post-order, then, in super-polynomial mode, the outer one.  Equal
-    tuples of one expression and mode realize to the same schedule."""
+def _plan(expr: OmegaExpression) -> tuple:
+    """The exponent plan of an expression, from one post-order walk: one
+    length slot per distinct node, the root's last, and one step per
+    product or omega node, in post-order, that fills its slot for a given
+    n.  A letter's slot holds 1; the others hold None.  A step (slot, left,
+    right) adds two slots; a step (slot, child, None) is an omega, whose
+    exponent scales its child's slot."""
+    slots, lengths, steps = {}, [], []
+    for node in postorder(expr):
+        slot = slots[node] = len(lengths)
+        lengths.append(1 if isinstance(node, Letter) else None)
+        if isinstance(node, Product):
+            steps.append((slot, slots[node.left], slots[node.right]))
+        elif isinstance(node, Omega):
+            steps.append((slot, slots[node.child], None))
+        elif not isinstance(node, Letter):
+            raise TypeError(f"not an omega-expression: {node!r}")
+    return tuple(lengths), tuple(steps)
+
+
+def _exponents(plan: tuple, n: int, mode: str) -> tuple:
+    """The exponents of the n-th realization of a planned expression, as
+    ints: one per omega node in post-order, then, in super-polynomial mode,
+    the outer one.  Equal tuples of one expression and mode realize to the
+    same schedule."""
     if n < 1:
         raise ValueError("realization index must be >= 1")
-    lengths, exponents = {}, []
-    for node in postorder(expr):
-        if isinstance(node, Letter):
-            lengths[node] = 1
-        elif isinstance(node, Product):
-            lengths[node] = lengths[node.left] + lengths[node.right]
-        elif isinstance(node, Omega):
-            exponents.append(polynomial_exponent(n * lengths[node.child]))
-            lengths[node] = exponents[-1] * lengths[node.child]
+    lengths, steps = plan
+    lengths, exponents = list(lengths), []
+    for slot, left, right in steps:
+        if right is None:
+            exponent = polynomial_exponent(n * lengths[left])
+            exponents.append(exponent)
+            lengths[slot] = exponent * lengths[left]
         else:
-            raise TypeError(f"not an omega-expression: {node!r}")
+            lengths[slot] = lengths[left] + lengths[right]
     if mode == "superpolynomial":
-        exponents.append(superpolynomial_exponent(n * lengths[expr]))
+        exponents.append(superpolynomial_exponent(n * lengths[-1]))
     return tuple(exponents)
 
 
@@ -193,7 +212,7 @@ def _schedule(expr: OmegaExpression, exponents: tuple) -> WordSchedule:
             schedules[node] = Literal((node.token,))
         elif isinstance(node, Product):
             schedules[node] = Concat(schedules[node.left], schedules[node.right])
-        else:   # an omega: `_exponents` has rejected other nodes
+        else:   # an omega: `_plan` has rejected other nodes
             schedules[node] = Power(schedules[node.child], next(exponents))
     outer = next(exponents, None)
     return schedules[expr] if outer is None else Power(schedules[expr], outer)
@@ -209,6 +228,14 @@ class SamplePoint:
     length: int
     value: float
     reference: Optional[float] = None
+
+    @classmethod
+    def _wrap(cls, n, length, value, reference) -> "SamplePoint":
+        # Trusted constructor, for `sweep`: fills the fields in one update
+        # instead of one frozen setattr each.
+        sample = object.__new__(cls)
+        sample.__dict__.update(n=n, length=length, value=value, reference=reference)
+        return sample
 
     @property
     def discrepancy(self) -> Optional[float]:
@@ -235,12 +262,18 @@ class ConvergenceReport:
         if with_reference:
             header += ["reference", "discrepancy"]
         lines = ["\t".join(header)]
+        last = None
         for sample in self.samples:
-            cells = [str(sample.n), str(sample.length), f"{sample.value:.12g}",
-                     f"{abs(sample.value - self.extrapolated_limit):.12g}"]
-            if with_reference:
-                cells += [f"{sample.reference:.12g}", f"{sample.discrepancy:.12g}"]
-            lines.append("\t".join(cells))
+            # A sample whose length, value and reference are the previous
+            # sample's objects shares its cells after n.
+            if (last is None or sample.length is not last.length
+                    or sample.value is not last.value or sample.reference is not last.reference):
+                cells = [str(sample.length), f"{sample.value:.12g}",
+                         f"{abs(sample.value - self.extrapolated_limit):.12g}"]
+                if with_reference:
+                    cells += [f"{sample.reference:.12g}", f"{sample.discrepancy:.12g}"]
+                row, last = "\t".join(cells), sample
+            lines.append(f"{sample.n}\t{row}")
         lines.append(f"extrapolated limit: {self.extrapolated_limit:.12g}")
         if self.rate_fit is None:
             lines.append("rate fit: no exponential fit")
@@ -302,6 +335,8 @@ def build_report(samples) -> ConvergenceReport:
         raise ValueError("cannot build a report from zero samples")
     if any(b.n <= a.n for a, b in zip(samples, samples[1:])):
         raise ValueError("samples must be indexed by strictly increasing n")
+    if len({s.reference is None for s in samples}) > 1:
+        raise ValueError("either every sample or none must carry a reference")
     extrapolated = _extrapolate([s.value for s in samples])
     return ConvergenceReport(samples, extrapolated, _fit_rate(samples, extrapolated))
 
@@ -317,10 +352,11 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
+    plan = _plan(expr)
     schedules = {}   # exponent tuple -> its schedule, built once
 
     def schedule(n):
-        exponents = _exponents(expr, n, mode)
+        exponents = _exponents(plan, n, mode)
         if exponents not in schedules:
             schedules[exponents] = realize(expr, n)
         return schedules[exponents]
@@ -330,10 +366,12 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
 
 def sweep(automaton: ProbabilisticAutomaton, schedules, references=()) -> ConvergenceReport:
     """Report the acceptance probabilities of `schedules`, the samples at
-    n = 1, 2, ..., each with the matching entry of `references`, if any.
+    n = 1, 2, ..., each with the matching entry of `references`, if any;
+    `references` must then be as long as `schedules`.
 
     Equal schedules are one node, so each distinct schedule is evaluated
-    once and its value reused for every sample that repeats it."""
+    once and its value object reused for every sample that repeats it,
+    which lets the report share their cells."""
     memo = {}   # consecutive n mostly share their factorials and sub-schedules
     values = {}
     references = iter(references)
@@ -342,5 +380,5 @@ def sweep(automaton: ProbabilisticAutomaton, schedules, references=()) -> Conver
         value = values.get(schedule)
         if value is None:
             value = values[schedule] = schedule_acceptance_probability(automaton, schedule, memo)
-        samples.append(SamplePoint(n, schedule.length, value, next(references, None)))
+        samples.append(SamplePoint._wrap(n, schedule.length, value, next(references, None)))
     return build_report(samples)

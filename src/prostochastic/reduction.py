@@ -216,7 +216,10 @@ def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
     if reduction is None:
         reduction = build_reduction(automaton)
     parameters = [round_schedule(n, len(word)) for n in range(1, n_max + 1)]
-    words = {pair: round_word(word, *pair) for pair in dict.fromkeys(parameters)}
+    pairs = dict.fromkeys(parameters)
+    words = {pair: round_word(word, *pair) for pair in pairs}
+    # One float per pair: the samples of a pair share their report cells.
+    references = {(k, rounds): round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
+                  for k, rounds in pairs}
     return sweep(reduction.automaton, map(words.__getitem__, parameters),
-                 [round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
-                  for k, rounds in parameters])
+                 map(references.__getitem__, parameters))

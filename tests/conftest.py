@@ -187,6 +187,74 @@ def direct_round_sum(p_win, p_lose, rounds):
     return sum((1.0 - (p_win + p_lose)) ** (i - 1) * p_win for i in range(1, rounds))
 
 
+def render_text_per_sample(report):
+    """Reference for `ConvergenceReport.render_text`: every row formatted
+    cell by cell, with no row shared."""
+    with_reference = any(s.reference is not None for s in report.samples)
+    header = ["n", "length", "probability", "error"]
+    if with_reference:
+        header += ["reference", "discrepancy"]
+    lines = ["\t".join(header)]
+    for sample in report.samples:
+        cells = [str(sample.n), str(sample.length), f"{sample.value:.12g}",
+                 f"{abs(sample.value - report.extrapolated_limit):.12g}"]
+        if with_reference:
+            cells += [f"{sample.reference:.12g}", f"{sample.discrepancy:.12g}"]
+        lines.append("\t".join(cells))
+    lines.append(f"extrapolated limit: {report.extrapolated_limit:.12g}")
+    if report.rate_fit is None:
+        lines.append("rate fit: no exponential fit")
+    else:
+        lines.append(f"rate fit: degree {report.rate_fit.degree:.12g}, "
+                     f"decay base {report.rate_fit.decay_base:.12g}")
+    return "\n".join(lines)
+
+
+def exponents_by_postorder(expr, n, mode):
+    """Reference for the exponents of the n-th realization: one post-order
+    walk of the expression for this n, lengths kept per node, one exponent
+    per omega node, then, in super-polynomial mode, the outer one."""
+    from prostochastic import Letter, Omega, Product
+    from prostochastic.expressions import postorder
+
+    lengths, exponents = {}, []
+    for node in postorder(expr):
+        if isinstance(node, Letter):
+            lengths[node] = 1
+        elif isinstance(node, Product):
+            lengths[node] = lengths[node.left] + lengths[node.right]
+        else:
+            assert isinstance(node, Omega)
+            exponents.append(numerics.polynomial_exponent(n * lengths[node.child]))
+            lengths[node] = exponents[-1] * lengths[node.child]
+    if mode == "superpolynomial":
+        exponents.append(numerics.superpolynomial_exponent(n * lengths[expr]))
+    return tuple(exponents)
+
+
+def random_expression(rng, alphabet, omega_height, size):
+    """Seeded random omega-expression with about `size` leaves whose omega
+    nodes nest at most `omega_height` deep."""
+    from prostochastic import Letter, Omega, Product
+
+    if omega_height and rng.random() < 0.3:
+        return Omega(random_expression(rng, alphabet, omega_height - 1, size))
+    if size <= 1:
+        return Letter(alphabet[int(rng.integers(len(alphabet)))])
+    cut = int(rng.integers(1, size))
+    return Product(random_expression(rng, alphabet, omega_height, cut),
+                   random_expression(rng, alphabet, omega_height, size - cut))
+
+
+def identity_started_word_matrix(automaton, word):
+    """Reference for `ProbabilisticAutomaton.word_matrix`: the identity
+    times each letter's matrix in turn."""
+    result = StochasticMatrix.identity(automaton.dim)
+    for letter in word:
+        result = result @ automaton.transition(letter)
+    return result
+
+
 def power_nodes(schedule):
     """Set of the `Power` nodes in a word schedule."""
     from prostochastic import Concat, Power

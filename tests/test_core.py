@@ -10,8 +10,10 @@ import pytest
 from prostochastic import (AutomatonFormatError, BooleanMatrix, Concat, Literal, Power,
                            ProbabilisticAutomaton, StochasticMatrix, acceptance_probability,
                            automaton_from_json, automaton_to_json, boolean_product,
-                           counterexample_automaton, schedule_acceptance_probability)
-from conftest import absorbing_automaton, expand_schedule, funnel_automaton, random_stochastic
+                           counterexample_automaton, schedule_acceptance_probability,
+                           schedule_matrix)
+from conftest import (absorbing_automaton, expand_schedule, funnel_automaton,
+                      identity_started_word_matrix, random_quarter_automaton, random_stochastic)
 
 ABSORBING = [[0.5, 0.5], [0.0, 1.0]]
 
@@ -282,6 +284,53 @@ class TestAutomaton:
     def test_unknown_letter(self, funnel):
         with pytest.raises(ValueError, match="unknown letter"):
             acceptance_probability(funnel, "c")
+
+    @staticmethod
+    def random_words(rng, alphabet, count, lengths):
+        return [tuple(rng.choice(alphabet, size=int(rng.integers(*lengths))).tolist())
+                for _ in range(count)]
+
+    def test_word_matrix_equals_the_identity_started_product(self, rng):
+        automata = [random_quarter_automaton(rng, int(rng.integers(1, 6))) for _ in range(20)]
+        automata += [funnel_automaton(), counterexample_automaton(0.7)]
+        automata += [automaton_from_json(automaton_to_json(a)) for a in automata[-2:]]
+        for automaton in automata:
+            for word in self.random_words(rng, automaton.alphabet, 12, (1, 8)):
+                expected = identity_started_word_matrix(automaton, word).entries
+                assert automaton.word_matrix(word).entries.tobytes() == expected.tobytes()
+
+    def test_word_matrix_keeps_the_product_bits_of_negative_zeros(self, rng):
+        # The identity product turns each -0.0 into 0.0, also in a column of
+        # -0.0 alone; every word, one-letter words too, matches it bit for bit.
+        automaton = ProbabilisticAutomaton(
+            ("s0", "s1", "s2"), ("a", "b"),
+            {"a": [[-0.0, 0.5, 0.5], [0.0, 1.0, -0.0], [0.25, -0.0, 0.75]],
+             "b": [[1.0, -0.0, 0.0], [0.5, -0.0, 0.5], [0.5, -0.0, 0.5]]},
+            (1.0, 0.0, 0.0), (False, True, False))
+        assert np.signbit(automaton.transition("b").entries[:, 1]).all()
+        words = [("a",), ("b",)] + self.random_words(rng, automaton.alphabet, 40, (2, 8))
+        for word in words:
+            expected = identity_started_word_matrix(automaton, word).entries
+            assert automaton.word_matrix(word).entries.tobytes() == expected.tobytes()
+
+    def test_powers_of_a_negative_zero_letter_follow_the_identity_started_chain(self):
+        # `a` is a fixed point of normalized squaring once its -0.0 is 0.0, so
+        # the squaring chain of the identity product closes at its first
+        # square; a chain started from the raw letter would close one square
+        # later, and its odd powers differ in the last bits.
+        p, q = 0.3309786816025536, 0.6690213183974463
+        automaton = ProbabilisticAutomaton(
+            ("s0", "s1", "s2"), ("a",), {"a": [[p, q, -0.0], [p, q, 0.0], [p, q, 0.0]]},
+            (1.0, 0.0, 0.0), (False, True, False))
+        start = identity_started_word_matrix(automaton, ("a",))
+        for exponent in range(1, 10):
+            expected = start.power(exponent).entries
+            matrix = schedule_matrix(automaton, Power(Literal(("a",)), exponent))
+            assert matrix.entries.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("word", ["", (), []])
+    def test_empty_word_matrix_is_the_identity(self, funnel, word):
+        assert funnel.word_matrix(word).entries.tobytes() == np.eye(3).tobytes()
 
     def test_initial_vector_must_be_stochastic(self):
         with pytest.raises(ValueError, match="initial"):

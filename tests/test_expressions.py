@@ -118,6 +118,8 @@ class TestPostorder:
         with pytest.raises(TypeError, match="not an omega-expression"):
             boolean_interpretation(Product(Letter("a"), "b"), {"a": None})
         with pytest.raises(TypeError, match="not an omega-expression"):
+            realize_polynomial(Omega(Literal(("a",))), 1)
+        with pytest.raises(TypeError, match="not an omega-expression"):
             expression_depth(Omega(Literal(("a",))))
 
 

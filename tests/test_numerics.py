@@ -14,10 +14,11 @@ from prostochastic import (Concat, IdempotenceError, Literal, Power, Probabilist
                            realize_polynomial, realize_superpolynomial,
                            schedule_acceptance_probability, stabilize,
                            superpolynomial_exponent)
-from prostochastic.numerics import build_report
+from prostochastic.numerics import ConvergenceReport, RateFit, build_report
 from prostochastic import numerics
-from conftest import (absorbing_automaton, expand_schedule, funnel_automaton, power_nodes,
-                      random_quarter_automaton, random_stochastic, single_state_automaton,
+from conftest import (absorbing_automaton, expand_schedule, exponents_by_postorder,
+                      funnel_automaton, power_nodes, random_expression, random_quarter_automaton,
+                      random_stochastic, render_text_per_sample, single_state_automaton,
                       squaring_chain_lengths)
 
 ABSORBING = StochasticMatrix([[0.5, 0.5], [0.0, 1.0]])
@@ -308,6 +309,53 @@ class TestRealization:
             realize_polynomial(parse_expression("a", ("a",)), 0)
 
 
+class TestExponentPlan:
+    """`_plan` walks an expression once; `_exponents` reads each n's
+    exponents off the plan in integers alone."""
+
+    @staticmethod
+    def omega_height(expr):
+        from prostochastic import Omega
+        from prostochastic.expressions import postorder
+        heights = {}
+        for node in postorder(expr):
+            below = max((heights[child] for child in node._children), default=0)
+            heights[node] = below + isinstance(node, Omega)
+        return heights[expr]
+
+    def expressions(self):
+        rng = np.random.default_rng(2718)
+        exprs = [random_expression(rng, ("a", "b"), int(rng.integers(0, 4)),
+                                   int(rng.integers(1, 8)))
+                 for _ in range(40)]
+        exprs += [parse_expression(text, ("a", "b"))
+                  for text in ("b a^w", "(b a^w)^w", "a^w^w^w", "((b a^w)^w a)^w b",
+                               "(a^w a^w)^w", "a b a b")]
+        assert {self.omega_height(expr) for expr in exprs} == {0, 1, 2, 3}
+        return exprs
+
+    @pytest.mark.parametrize("mode", ["polynomial", "superpolynomial"])
+    def test_plan_matches_a_postorder_walk_per_n(self, mode):
+        for expr in self.expressions():
+            plan = numerics._plan(expr)
+            for n in (*range(1, 41), *range(41, 400, 9), 400):
+                assert numerics._exponents(plan, n, mode) == exponents_by_postorder(expr, n, mode)
+
+    def test_one_plan_per_sweep_and_per_build(self, monkeypatch, schedule_builds):
+        plans = []
+        original = numerics._plan
+
+        def counting(expr):
+            plans.append(expr)
+            return original(expr)
+
+        monkeypatch.setattr(numerics, "_plan", counting)
+        automaton = counterexample_automaton(0.7)
+        expr = parse_expression("b a^w", automaton.alphabet)
+        estimate_limit(automaton, expr, "polynomial", 40)
+        assert len(plans) == 1 + len(schedule_builds) == 5
+
+
 class TestConcat:
     def test_concat_denotes_concatenation(self):
         left = Literal(("a", "b"))
@@ -467,6 +515,82 @@ class TestReports:
         point = SamplePoint(1, 10, 0.5, reference=0.25)
         assert point.discrepancy == 0.25
         assert SamplePoint(1, 10, 0.5).discrepancy is None
+
+    def test_references_on_some_samples_only_are_rejected(self):
+        samples = [SamplePoint(1, 1, 0.5, 0.4), SamplePoint(2, 2, 0.6), SamplePoint(3, 3, 0.7)]
+        with pytest.raises(ValueError, match="reference"):
+            build_report(samples)
+        with pytest.raises(ValueError, match="reference"):
+            build_report([SamplePoint(1, 1, 0.5), SamplePoint(2, 2, 0.6, 0.6)])
+
+    def test_sweep_rejects_fewer_references_than_schedules(self, absorbing):
+        schedules = [Literal(("a",) * n) for n in range(1, 4)]
+        with pytest.raises(ValueError, match="reference"):
+            numerics.sweep(absorbing, schedules, [0.5])
+        report = numerics.sweep(absorbing, schedules, [0.5, 0.75, 0.875])
+        assert [sample.discrepancy for sample in report.samples] == [0.0, 0.0, 0.0]
+
+    def test_trusted_samples_equal_checked_ones(self):
+        sample = SamplePoint._wrap(3, 2 ** 400, 0.5, None)
+        assert sample == SamplePoint(3, 2 ** 400, 0.5)
+        assert hash(sample) == hash(SamplePoint(3, 2 ** 400, 0.5))
+        with pytest.raises(AttributeError):
+            sample.value = 0.25
+
+    @staticmethod
+    def seeded_reports():
+        rng = random.Random(1729)
+        # Equal values as distinct objects, and the same objects repeated.
+        pool = [float("0.5"), float("0.5"), -0.0, 0.0, math.nan, 1.0, 1e-300, 0.1 + 0.2,
+                1.0 - 2.0 ** -52, float("nan")]
+        lengths = [1, 2, 2 ** 400 + 1, 2 ** 400 - 1, 3 ** 250]
+        reports = []
+        for _ in range(60):
+            count = rng.randint(1, 30)
+            with_reference = rng.random() < 0.5
+            samples, n = [], 0
+            for _ in range(count):
+                n += rng.randint(1, 3)
+                if samples and rng.random() < 0.6:   # repeat the previous sample's objects
+                    previous = samples[-1]
+                    length, value, reference = previous.length, previous.value, previous.reference
+                    if rng.random() < 0.2:   # equal fields, other objects; 0.0 for -0.0
+                        length = int(str(length))
+                        value = -value if value == 0.0 else float(repr(value))
+                        if reference is not None:
+                            reference = -reference if reference == 0.0 else float(repr(reference))
+                else:
+                    length, value = rng.choice(lengths), rng.choice(pool)
+                    reference = rng.choice(pool) if with_reference else None
+                samples.append(SamplePoint(n, length, value, reference))
+            limit = rng.choice(pool)
+            fit = rng.choice([None, RateFit(0.0, 2.0), RateFit(-1.5, 1.0000001)])
+            reports.append(ConvergenceReport(tuple(samples), limit, fit))
+        return reports
+
+    def test_render_text_equals_the_per_sample_renderer(self):
+        reports = self.seeded_reports()
+        automaton = counterexample_automaton(0.9)
+        for text in ("b a^w", "(b a^w)^w"):
+            for mode in ("polynomial", "superpolynomial"):
+                reports.append(estimate_limit(automaton, parse_expression(text, ("a", "b")),
+                                              mode, 40))
+        from prostochastic import verify_reduction
+        from conftest import coin_automaton
+        reports.append(verify_reduction(coin_automaton(0.7), ("a",), n_max=30))
+        for report in reports:
+            assert report.render_text() == render_text_per_sample(report)
+
+    def test_runs_of_one_schedule_share_their_objects(self):
+        automaton = counterexample_automaton(0.9)
+        report = estimate_limit(automaton, parse_expression("b a^w", ("a", "b")), "polynomial", 40)
+        runs = 1
+        for previous, sample in zip(report.samples, report.samples[1:]):
+            if sample.length == previous.length:
+                assert sample.length is previous.length and sample.value is previous.value
+            else:
+                runs += 1
+        assert runs == 4
 
 
 class TestCharacterization:

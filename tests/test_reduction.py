@@ -319,6 +319,25 @@ class TestVerifySweepMemo:
         assert [sample.length for sample in report.samples] == [
             schedules[n].length for n in range(1, self.N_MAX + 1)]
 
+    def test_one_reference_per_distinct_pair(self, monkeypatch):
+        from prostochastic import reduction
+        calls = []
+        original = reduction.round_acceptance
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(reduction, "round_acceptance", counting)
+        report = verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        assert len(calls) == 7
+        # The samples of one pair hold one reference and one value object.
+        samples = report.samples
+        for previous, sample in zip(samples, samples[1:]):
+            if round_schedule(previous.n, 1) == round_schedule(sample.n, 1):
+                assert sample.reference is previous.reference
+                assert sample.value is previous.value
+
     @pytest.mark.parametrize("x", [0.4, 0.7])
     def test_samples_equal_single_schedule_values(self, x):
         automaton = coin_automaton(x)
