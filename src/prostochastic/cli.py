@@ -41,7 +41,7 @@ def cmd_analyze(args) -> int:
     # when the last element found is one.
     is_witness = _value1_test(automaton)
     monoid = markov_monoid(automaton, stop=is_witness)
-    if not is_witness(monoid.masks[-1]):
+    if not is_witness(monoid.element_masks(-1)):
         print("NO")
         return EXIT_NO
     lines = ["YES", f"witness: {monoid.witness_text(-1)}"]
@@ -103,7 +103,11 @@ def cmd_example(args) -> int:
     return EXIT_YES
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parsers() -> tuple:
+    """The full parser and each command's parser by name.  Built on the
+    first `main` call, not at import, and reused: parsing fills a fresh
+    namespace each time, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="prostochastic",
         description="Analyze probabilistic automata: run the Markov Monoid "
@@ -148,18 +152,25 @@ def build_parser() -> argparse.ArgumentParser:
     example.add_argument("-o", "--output", default=None)
     example.set_defaults(func=cmd_example)
 
-    return parser
+    return parser, commands.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first `main` call, not at import, and reused: parsing
-    # fills a fresh namespace each time, so no call sees another's options.
-    return build_parser()
+def _parse_args(argv: list) -> argparse.Namespace:
+    """The full parser's `parse_args(argv)`.  When `argv[0]` names a command,
+    its own parser reads the rest; the full parser reads `argv` again when
+    that leaves arguments over, so that usage and errors are its own."""
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -1,6 +1,9 @@
 """Shared corpus: small hand-built automata with known behaviour, plus
 seeded random generators used by the property suites."""
 
+import functools
+import operator
+import random
 import types
 
 import numpy as np
@@ -131,8 +134,151 @@ def transition_monoid(automaton):
     discovery order (the letters, then each element times each letter)."""
     from prostochastic import BooleanMatrix, monoid
 
-    masks, _ = monoid._saturate(monoid.letter_supports(automaton), stabilizing=False)
-    return tuple(map(BooleanMatrix._wrap, masks))
+    keys, rows, _ = monoid._saturate(monoid.letter_supports(automaton), None)
+    return tuple(BooleanMatrix._wrap(tuple(map(rows.__getitem__, key))) for key in keys)
+
+
+class _RowTable(dict):
+    """Row mask -> that row of a product whose right operand has the row
+    masks `right`, filled on first lookup."""
+
+    def __init__(self, right):
+        super().__init__()
+        self.right = right
+
+    def __missing__(self, mask):
+        row = self[mask] = functools.reduce(
+            operator.or_, (r for t, r in enumerate(self.right) if mask >> t & 1), 0)
+        return row
+
+
+def reference_saturate(supports, stabilizing, stop=None):
+    """Oracle for `monoid._saturate`: the tuple kernel it replaced.  Each
+    element is its tuple of row masks, each generator has a row table, and
+    an element times a generator looks up each of its rows.  Returns the
+    element masks and origins in discovery order; `_saturate` must find
+    the same elements in the same order, with the same origins, and call
+    `stop` on the same masks."""
+    from prostochastic.expressions import Letter, Omega, Product
+    from prostochastic.monoid import _stabilized
+
+    table, origins, seen = [], [], set()
+
+    def add(masks, origin):
+        seen.add(masks)
+        table.append(masks)
+        origins.append(origin)
+        return stop is not None and stop(masks)
+
+    for letter, matrix in supports.items():
+        if matrix.masks not in seen and add(matrix.masks, (Letter, letter)):
+            return tuple(table), tuple(origins)
+    generators = [(k, _RowTable(table[k])) for k in range(len(table))]
+    processed = 0
+    while processed < len(table):
+        left = table[processed]
+        for generator, rows in generators:
+            product = tuple(map(rows.__getitem__, left))
+            if product not in seen and add(product, (Product, processed, generator)):
+                return tuple(table), tuple(origins)
+        processed += 1
+        if stabilizing and (stable := _stabilized(left)) is not None and stable not in seen:
+            if add(stable, (Omega, processed - 1)):
+                return tuple(table), tuple(origins)
+            generator, rows = len(table) - 1, _RowTable(stable)
+            for k in range(processed):
+                product = tuple(map(rows.__getitem__, table[k]))
+                if product not in seen and add(product, (Product, k, generator)):
+                    return tuple(table), tuple(origins)
+            generators.append((generator, rows))
+    return tuple(table), tuple(origins)
+
+
+def random_nine_state_automaton(seed=2):
+    """Each row of letters a, b, c puts equal weight on 1 or 2 of the 9
+    states, drawn from `random.Random(seed)`; s0 is initial and s8 final.
+    Seed 2 gives a monoid of 11,168 elements with 15 stabilizations that
+    arrive mid-run."""
+    rng, n = random.Random(seed), 9
+    transitions = {}
+    for letter in "abc":
+        transitions[letter] = []
+        for _ in range(n):
+            succ = rng.sample(range(n), rng.choice((1, 2)))
+            transitions[letter].append([1 / len(succ) if t in succ else 0 for t in range(n)])
+    return ProbabilisticAutomaton(tuple(f"s{i}" for i in range(n)), tuple("abc"), transitions,
+                                  (1.0,) + (0.0,) * (n - 1), (False,) * (n - 1) + (True,))
+
+
+def constant_map(n, subset):
+    """Each of the `n` states moves uniformly onto the states in the mask `subset`."""
+    row = [1 / subset.bit_count() if subset >> t & 1 else 0.0 for t in range(n)]
+    return [row] * n
+
+
+def wide_constant_automaton(n=9, letters=260):
+    """Letter c<k> maps every state onto the k+1-th non-empty subset of
+    the `n` states in binary order: `letters` distinct rows.  c<j> c<k> is
+    c<k>, so the monoid is the letters, each idempotent and its own
+    stabilization.  From s0, with s<n-1> final."""
+    transitions = {f"c{k}": constant_map(n, k + 1) for k in range(letters)}
+    return ProbabilisticAutomaton(tuple(f"s{i}" for i in range(n)), tuple(transitions), transitions,
+                                  (1.0,) + (0.0,) * (n - 1), (False,) * (n - 1) + (True,))
+
+
+def wide_midrun_automaton():
+    """The 9-state cycle p: s -> s+1 mod 9, then constant maps c<k>: c<k> p
+    is the constant map onto the subset shifted by one state.  The subsets
+    are 27 whole shift orbits, the full set, and S, pS and p^2 S of one more
+    orbit: with p's 9 rows the letters have 256 distinct rows, and each
+    letter but the last times p is a letter.  So p p is new before any new
+    row, and the last letter times p brings the 257th row, p^3 S.  From s0,
+    with s8 final."""
+    n, full = 9, (1 << 9) - 1
+    orbits, met = [], set()   # the shift orbits of the subsets of 2 or more states
+    for mask in range(3, full):
+        if mask.bit_count() > 1 and mask not in met:
+            orbit = [mask]
+            while (shifted := (orbit[-1] << 1 | orbit[-1] >> (n - 1)) & full) != mask:
+                orbit.append(shifted)
+            met.update(orbit)
+            orbits.append(orbit)
+    nine = [orbit for orbit in orbits if len(orbit) == n]
+    subsets = [mask for orbit in nine[:27] for mask in orbit] + [full] + nine[27][:3]
+    transitions = {"p": [[float(t == (s + 1) % n) for t in range(n)] for s in range(n)]}
+    transitions.update((f"c{k}", constant_map(n, mask)) for k, mask in enumerate(subsets))
+    return ProbabilisticAutomaton(tuple(f"s{i}" for i in range(n)), tuple(transitions), transitions,
+                                  (1.0,) + (0.0,) * (n - 1), (False,) * (n - 1) + (True,))
+
+
+def wide_omega_automaton(in_table=False):
+    """Letter e on 9 states moves s0 onto {s0, s1, s2} and keeps the other
+    states: it is idempotent, and its stabilization moves s0 onto {s1, s2}.
+    The other letters are constant maps onto subsets that hold s1 and s2
+    when they hold s0, so that no product of letters has a new row, and the
+    letters have 256 distinct rows.  The 257th row is {s1, s2}, the
+    stabilization's own; with `in_table`, {s1, s2} is a letter's row and
+    the letter t onto {s0, s3} comes first, so the 257th row is {s1, s2, s3},
+    t times the stabilization, met while the stabilization's table is
+    filled.  From s0, with s8 final."""
+    n = 9
+    e = [[1 / 3] * 3 + [0.0] * (n - 3)] + [[float(t == s) for t in range(n)] for s in range(1, n)]
+    rows = {0b111} | {1 << s for s in range(1, n)}
+    transitions, subsets = {}, [0b1111]
+    if in_table:
+        transitions["t"] = constant_map(n, 0b1001)
+        rows.add(0b1001)
+        subsets.append(0b110)
+    transitions["e"] = e
+    for mask in range(1, 1 << n):
+        if len(rows) + len(subsets) == 256:
+            break
+        if mask not in rows and mask not in subsets and mask not in (0b110, 0b1110) \
+                and (not mask & 1 or mask & 0b110 == 0b110):
+            subsets.append(mask)
+    transitions.update((f"c{k}", constant_map(n, mask)) for k, mask in enumerate(subsets))
+    return ProbabilisticAutomaton(tuple(f"s{i}" for i in range(n)), tuple(transitions), transitions,
+                                  (1.0,) + (0.0,) * (n - 1), (False,) * (n - 1) + (True,))
 
 
 def is_value1_witness(matrix, automaton):

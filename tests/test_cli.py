@@ -7,19 +7,57 @@ import sys
 
 import pytest
 
-from prostochastic import (ProbabilisticAutomaton, automaton_from_json, automaton_to_json,
-                           counterexample_automaton)
+from prostochastic import (BooleanMatrix, ProbabilisticAutomaton, automaton_from_json,
+                           automaton_to_json, counterexample_automaton, letter_supports)
 from prostochastic import cli
 from prostochastic.cli import main
 from conftest import (absorbing_automaton, coin_automaton, funnel_automaton,
                       permutation_automaton, single_state_automaton,
-                      symmetric_group_automaton)
+                      reference_saturate, symmetric_group_automaton,
+                      wide_constant_automaton, wide_midrun_automaton,
+                      wide_omega_automaton)
 
 
 def write(tmp_path, name, automaton):
     path = tmp_path / name
     path.write_text(automaton_to_json(automaton))
     return str(path)
+
+
+def parsed(parse, argv, capsys):
+    """What `parse(argv)` returns or exits with, and what it prints."""
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as done:
+        outcome = done.code
+    return outcome, capsys.readouterr()
+
+
+class TestParseArgs:
+    """A command's own parser reads its arguments; anything it leaves over
+    goes back to the full parser.  Either way the namespace, the exit code
+    and the text printed are the full parser's."""
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["analyze"], ["analyze", "cx.json"],
+        ["analyze", "cx.json", "--bogus"], ["analyze", "cx.json", "-n", "q"],
+        ["analyze", "cx.json", "--ver", "-m", "superpolynomial", "-n", "3"],
+        ["analyze", "--", "cx.json"], ["analyze", "-h"], ["monoid", "cx.json", "extra"],
+        ["simulate", "cx.json"], ["simulate", "cx.json", "-e", "b a^w", "-n", "40"],
+        ["reduce", "cx.json", "-w", "a", "-o", "out.json"], ["example", "-x", "0.9"],
+        ["--", "analyze", "cx.json"], ["analyze", "cx.json", "-m", "exact"],
+    ])
+    def test_matches_the_full_parser(self, argv, capsys):
+        full = cli._parsers()[0].parse_args
+        assert parsed(cli._parse_args, argv, capsys) == parsed(full, argv, capsys)
+
+    def test_leftover_argument_gets_the_top_level_usage(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["analyze", "cx.json", "--bogus"])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: prostochastic [-h]")
+        assert "unrecognized arguments: --bogus" in err
 
 
 class TestAnalyze:
@@ -258,6 +296,27 @@ class TestMonoidDumpDigests:
         assert out.splitlines()[:2] == ["elements: 11168",
                                         "letters: 3 products: 11150 stabilizations: 15"]
         assert sha256(out) == RANDOM_NINE_DUMP
+
+
+class TestWideRows:
+    """Monoids with more than 256 distinct rows print as any other."""
+
+    def test_constant_maps(self, tmp_path, capsys):
+        automaton = wide_constant_automaton()
+        assert main(["monoid", write(tmp_path, "wide.json", automaton)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["elements: 260", "letters: 260 products: 0 stabilizations: 0"]
+        assert lines[2:] == [f"{format(k + 1, '09b')[::-1] * 9} c{k}" for k in range(260)]
+
+    @pytest.mark.parametrize("make", [wide_midrun_automaton, wide_omega_automaton])
+    def test_row_257_found_mid_run(self, tmp_path, capsys, make):
+        automaton = make()
+        assert main(["monoid", write(tmp_path, "wide.json", automaton)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        masks, _ = reference_saturate(letter_supports(automaton), True)
+        assert lines[0] == f"elements: {len(masks)}"
+        assert [line.split(" ", 1)[0] for line in lines[2:]] == \
+            [BooleanMatrix._wrap(element).bitstring() for element in masks]
 
 
 class TestSimulate:

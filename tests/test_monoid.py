@@ -1,4 +1,6 @@
 import copy
+import functools
+import itertools
 import pickle
 import random
 
@@ -16,8 +18,10 @@ from prostochastic import (BooleanMatrix, IdempotenceError, Letter, MarkovMonoid
                            is_idempotent, markov_monoid, parse_expression, stabilize)
 from conftest import (absorbing_automaton, brute_force_word_closure, coin_automaton,
                       funnel_automaton, is_value1_witness, permutation_automaton,
-                      random_quarter_automaton, random_stochastic, single_state_automaton,
-                      symmetric_group_automaton, transition_monoid)
+                      random_nine_state_automaton, random_quarter_automaton,
+                      random_stochastic, reference_saturate, single_state_automaton,
+                      symmetric_group_automaton, transition_monoid, wide_constant_automaton,
+                      wide_midrun_automaton, wide_omega_automaton)
 
 UPPER = BooleanMatrix(((1, 1), (0, 1)))
 SWAP = BooleanMatrix(((0, 1), (1, 0)))
@@ -207,24 +211,48 @@ class TestKernelAgainstDenseReference:
     @given(dense_pairs(st.integers(1, 70)))
     @example((cycle(70), sparse(70, 1)))
     def test_product_through_row_table(self, pair):
-        # Saturation's right product: one table lookup per row of the left
-        # operand.
+        # Saturation's right product: the key of the left operand, the ids
+        # of its rows, translated through the right operand's table, with
+        # `bytes` keys and, on 9 states or more, with the tuple keys past
+        # 256 distinct rows.
         left, right = pair
-        table = monoid_module._row_table(BooleanMatrix(right).masks)
-        masks = tuple(map(table.__getitem__, BooleanMatrix(left).masks))
-        assert masks == BooleanMatrix(reference_product(left, right)).masks
+        expected = BooleanMatrix(reference_product(left, right)).masks
+        forms = [(bytes, bytes.translate, bytearray(256))]
+        if len(left) > 8:
+            forms.append((tuple, monoid_module._wide_product, {}))
+        for pack, times, table in forms:
+            ids = monoid_module._RowIds()
+            key = pack(map(ids.__getitem__, BooleanMatrix(left).masks))
+            ids.fill(range(len(ids.rows)), [(BooleanMatrix(right).masks, table)])
+            assert tuple(map(ids.rows.__getitem__, times(key, table))) == expected
 
     @settings(deadline=None)
     @given(dense_pairs(st.integers(1, 70)))
     @example((cycle(70), sparse(70, 1)))
     def test_row_table_holds_only_the_masks_asked_for(self, pair):
+        # Filling the ids of the left operand's rows names those rows, then
+        # the new rows of the product, and leaves the other entries 0.
         left, right = pair
-        table = monoid_module._row_table(BooleanMatrix(right).masks)
-        assert not table
+        ids, table = monoid_module._RowIds(), bytearray(256)
         asked = BooleanMatrix(left).masks
-        for mask in asked + asked:
-            table[mask]
-        assert set(table) == set(asked)
+        bytes(map(ids.__getitem__, asked))
+        distinct = len(ids.rows)
+        ids.fill(range(distinct), [(BooleanMatrix(right).masks, table)])
+        assert ids.rows[:distinct] == list(dict.fromkeys(asked))
+        assert set(ids.rows) == set(asked) | set(BooleanMatrix(reference_product(left, right)).masks)
+        assert not any(table[distinct:])
+
+    def test_row_ids_stop_at_the_limit(self):
+        # Id 256 does not fit a `bytes` key: asking for it raises, and
+        # hands out nothing, until the limit is lifted.
+        ids = monoid_module._RowIds()
+        assert bytes(map(ids.__getitem__, range(256))) == bytes(range(256))
+        with pytest.raises(monoid_module._RowIdsFull):
+            ids[256]
+        assert len(ids) == len(ids.rows) == 256
+        ids.limit = None
+        assert (ids[256], ids[300], ids[256]) == (256, 257, 256)
+        assert ids.rows[256:] == [256, 300]
 
     @settings(deadline=None)
     @given(dense_pairs())
@@ -518,27 +546,27 @@ REDUCTIONS = {
 
 
 def counted_work(monkeypatch):
-    """Count the row-table lookups (one per row of each right product) and
-    the idempotence tests that saturation makes (each a call of the helper
-    that also stabilizes)."""
-    counts = {"lookups": 0, "idempotence tests": 0}
-    make_table, test = monoid_module._row_table, monoid_module._stabilized
+    """Count the row products (`_or_rows` calls: one per row id and
+    generator) and the idempotence tests that saturation makes (each a call
+    of the helper that also stabilizes)."""
+    counts = {"row products": 0, "idempotence tests": 0}
+    product, test = monoid_module._or_rows, monoid_module._stabilized
 
-    class CountingTable:
-        def __init__(self, right):
-            self.table = make_table(right)
-
-        def __getitem__(self, mask):
-            counts["lookups"] += 1
-            return self.table[mask]
+    def counting_product(mask, rows):
+        counts["row products"] += 1
+        return product(mask, rows)
 
     def counting_test(masks):
         counts["idempotence tests"] += 1
         return test(masks)
 
-    monkeypatch.setattr(monoid_module, "_row_table", CountingTable)
+    monkeypatch.setattr(monoid_module, "_or_rows", counting_product)
     monkeypatch.setattr(monoid_module, "_stabilized", counting_test)
     return counts
+
+
+def distinct_rows(masks):
+    return len({row for element in masks for row in element})
 
 
 @pytest.mark.parametrize("name", sorted(REDUCTIONS))
@@ -562,29 +590,32 @@ class TestReductionMonoids:
             monoid.witness_text(len(monoid))
 
     def test_each_element_meets_each_generator_once(self, name, monkeypatch):
-        # |M| * |G| right products, and one idempotence test per element,
-        # which also stabilizes it.
+        # One idempotence test per element, which also stabilizes it, and
+        # one row product per row id and generator: each table entry is
+        # computed once, and every id names a row of some element.
         # G is the letter supports plus the new stabilizations.
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
         counts = counted_work(monkeypatch)
         monoid = markov_monoid(automaton)
         generators = sum(isinstance(element.witness, (Letter, Omega)) for element in monoid)
-        assert counts == {"lookups": len(monoid) * generators * automaton.dim,
+        assert len(monoid.rows) == distinct_rows(monoid.masks)
+        assert counts == {"row products": len(monoid.rows) * generators,
                           "idempotence tests": len(monoid)}
 
     def test_transition_monoid_meets_each_letter_once(self, name, monkeypatch):
         automaton = build_reduction(REDUCTIONS[name][0]()).automaton
         counts = counted_work(monkeypatch)
         elements = transition_monoid(automaton)
-        assert counts == {"lookups": len(elements) * len(automaton.alphabet) * automaton.dim,
+        rows = distinct_rows(element.masks for element in elements)
+        assert counts == {"row products": rows * len(automaton.alphabet),
                           "idempotence tests": 0}
 
 
-def sparse_random_automaton(rng):
-    """2-6 states, 1-3 letters; each row, and the initial distribution,
-    puts equal weight on 1 or 2 states; each state is final with
-    probability 0.4."""
-    n, letters = rng.randint(2, 6), ("a", "b", "c")[:rng.randint(1, 3)]
+def sparse_random_automaton(rng, states=(2, 6)):
+    """2-6 states (or as many as `states` bounds), 1-3 letters; each row,
+    and the initial distribution, puts equal weight on 1 or 2 states; each
+    state is final with probability 0.4."""
+    n, letters = rng.randint(*states), ("a", "b", "c")[:rng.randint(1, 3)]
 
     def spread():
         support = rng.sample(range(n), rng.choice((1, 2)))
@@ -659,6 +690,85 @@ class TestStopAtFirstWitness:
         assert (stopped.masks, stopped.origins) == (full.masks, full.origins)
 
 
+def matches_reference(automaton, make_stop=lambda: None):
+    """`markov_monoid(automaton)` with the stop `make_stop()`, after
+    checking it against `reference_saturate` with another `make_stop()`."""
+    expected = reference_saturate(monoid_module.letter_supports(automaton), True, make_stop())
+    monoid = markov_monoid(automaton, stop=make_stop())
+    assert (monoid.masks, monoid.origins) == expected
+    return monoid
+
+
+def capped(size):
+    """A stop that accepts the `size`-th element it is called on."""
+    calls = itertools.count(1)
+    return lambda masks: next(calls) == size
+
+
+class TestAgainstReferenceKernel:
+    """Saturation on row-id keys finds the elements of the tuple kernel it
+    replaced, in the same order, with the same origins, and calls `stop`
+    on the same masks."""
+
+    @pytest.mark.parametrize("name", sorted(REDUCTIONS))
+    def test_reductions(self, name):
+        automaton = build_reduction(REDUCTIONS[name][0]()).automaton
+        assert len(matches_reference(automaton)) == REDUCTIONS[name][1]
+        value1 = monoid_module._value1_test(automaton)
+        matches_reference(automaton, lambda: value1)
+
+    def test_random_nine_state(self):
+        monoid = matches_reference(random_nine_state_automaton(2))
+        assert len(monoid) == 11168
+        assert sum(origin[0] is Omega for origin in monoid.origins) == 15
+
+    def test_seeded_sparse_automata(self):
+        # Without the value-1 stop, a monoid past 1,500 elements is
+        # compared on its first 1,500.
+        seeded, sizes = random.Random(23), []
+        for _ in range(300):
+            automaton = sparse_random_automaton(seeded, states=(2, 9))
+            value1 = monoid_module._value1_test(automaton)
+            matches_reference(automaton, lambda: value1)
+            size = len(matches_reference(automaton, lambda: capped(1500)))
+            if size < 1500:
+                matches_reference(automaton)
+            sizes.append(size)
+        assert min(sizes) < 10 and max(sizes) == 1500
+
+    # The 257th row is met: among the letters; while the tables are filled
+    # for the next element to process; in a stabilization; and while a
+    # stabilization's table is filled.
+    @pytest.mark.parametrize("make", [wide_constant_automaton, wide_midrun_automaton,
+                                      wide_omega_automaton,
+                                      functools.partial(wide_omega_automaton, True)],
+                             ids=["letters", "fill", "stabilization", "stabilization-table"])
+    def test_wide_rows(self, make):
+        automaton = make()
+        monoid = matches_reference(automaton)
+        assert len(monoid.rows) > 256
+        assert all(type(key) is tuple for key in monoid.keys)
+        value1 = monoid_module._value1_test(automaton)
+        matches_reference(automaton, lambda: value1)
+        # The keys turn from `bytes` into tuples mid-run, and the step
+        # that ran out of ids runs again; still each element is tested once.
+        size, calls = len(monoid) - 2, []
+
+        def recording(masks):
+            calls.append(masks)
+            return len(calls) == size
+
+        stopped = markov_monoid(automaton, stop=recording)
+        assert stopped.masks == monoid.masks[:size]
+        assert calls == list(monoid.masks[:size])
+
+    def test_wide_constant_maps_are_the_letters(self):
+        monoid = markov_monoid(wide_constant_automaton())
+        assert len(monoid) == 260 and len(monoid.rows) == 260
+        assert monoid.origins == tuple((Letter, f"c{k}") for k in range(260))
+        assert all(stabilize(element.matrix) == element.matrix for element in monoid)
+
+
 class TestRecords:
     """`MonoidElement` is a read-only value compared by its fields;
     `MarkovMonoid` is a read-only table compared by identity, whose
@@ -683,7 +793,7 @@ class TestRecords:
             delattr(element, field)
         assert (element.matrix, element.witness) == (UPPER, Letter("a"))
 
-    @pytest.mark.parametrize("field", ["masks", "origins", "generators"])
+    @pytest.mark.parametrize("field", ["keys", "rows", "masks", "origins", "generators"])
     def test_monoid_fields_are_read_only(self, field):
         monoid = markov_monoid(counterexample_automaton(0.9))
         before = getattr(monoid, field)
