@@ -464,9 +464,9 @@ def schedule_matrix(automaton: ProbabilisticAutomaton, schedule: WordSchedule,
 
     `memo` maps schedule nodes to their matrices on this automaton.  Equal
     nodes are one node, so a sub-schedule that recurs, within one schedule or
-    across the calls of a sweep that share the dict, is walked and evaluated
-    once.  The dict also keeps, under ``(Power, base node)``, the squaring
-    chain of each powered base, so powers of one base share their squarings.
+    across calls given one dict, is walked and evaluated once.  The dict
+    also keeps, under ``(Power, base node)``, the squaring chain of each
+    powered base, so powers of one base share their squarings.
     """
     if memo is None:
         memo = {}

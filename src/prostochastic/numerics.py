@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (MODES, Concat, Literal, Power, ProbabilisticAutomaton,
-                   StochasticMatrix, BooleanMatrix, WordSchedule,
-                   schedule_acceptance_probability)
+                   StochasticMatrix, BooleanMatrix, WordSchedule)
 from .expressions import Letter, Omega, OmegaExpression, Product, postorder
 from .monoid import boolean_projection, idempotent_power, letter_supports
 from .omega import boolean_interpretation
@@ -164,22 +163,24 @@ def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:
 
 def _plan(expr: OmegaExpression) -> tuple:
     """The exponent plan of an expression, from one post-order walk: one
-    length slot per distinct node, the root's last, and one step per
-    product or omega node, in post-order, that fills its slot for a given
-    n.  A letter's slot holds 1; the others hold None.  A step (slot, left,
-    right) adds two slots; a step (slot, child, None) is an omega, whose
-    exponent scales its child's slot."""
-    slots, lengths, steps = {}, [], []
+    length slot per distinct node, the root's last, one step per product
+    or omega node, in post-order, that fills its slot for a given n, and
+    the (slot, token) pair of each letter.  A letter's slot holds 1; the
+    others hold None.  A step (slot, left, right) adds two slots; a step
+    (slot, child, None) is an omega, whose exponent scales its child's slot."""
+    slots, lengths, steps, letters = {}, [], [], []
     for node in postorder(expr):
         slot = slots[node] = len(lengths)
         lengths.append(1 if isinstance(node, Letter) else None)
-        if isinstance(node, Product):
+        if isinstance(node, Letter):
+            letters.append((slot, node.token))
+        elif isinstance(node, Product):
             steps.append((slot, slots[node.left], slots[node.right]))
         elif isinstance(node, Omega):
             steps.append((slot, slots[node.child], None))
-        elif not isinstance(node, Letter):
+        else:
             raise TypeError(f"not an omega-expression: {node!r}")
-    return tuple(lengths), tuple(steps)
+    return tuple(lengths), tuple(steps), tuple(letters)
 
 
 def _exponents(plan: tuple, n: int, mode: str) -> tuple:
@@ -189,7 +190,7 @@ def _exponents(plan: tuple, n: int, mode: str) -> tuple:
     same schedule."""
     if n < 1:
         raise ValueError("realization index must be >= 1")
-    lengths, steps = plan
+    lengths, steps, _ = plan
     lengths, exponents = list(lengths), []
     for slot, left, right in steps:
         if right is None:
@@ -216,6 +217,34 @@ def _schedule(expr: OmegaExpression, exponents: tuple) -> WordSchedule:
             schedules[node] = Power(schedules[node.child], next(exponents))
     outer = next(exponents, None)
     return schedules[expr] if outer is None else Power(schedules[expr], outer)
+
+
+def _evaluate(automaton: ProbabilisticAutomaton, plan: tuple, exponents: tuple,
+              memo: tuple) -> tuple:
+    """The exact length and the acceptance probability of the realization
+    whose powers take `exponents`, run on the plan's steps without schedule
+    nodes.  `memo`, one per sweep, is (ids, matrices, chains): `ids` gives
+    each sub-realization, under (its slot, its children's ids, its
+    exponent), the index of its matrix in `matrices`, where a letter's id
+    is its slot, and `chains` holds each powered base's squaring chain."""
+    lengths, steps, _ = plan
+    ids, matrices, chains = memo
+    lengths, named = list(lengths), list(range(len(lengths)))
+    exponents = iter(exponents)
+    for slot, left, right in steps:
+        base = named[left]
+        if right is None:
+            exponent = next(exponents)
+            key, lengths[slot] = (slot, base, exponent), exponent * lengths[left]
+        else:
+            key, lengths[slot] = (slot, base, named[right]), lengths[left] + lengths[right]
+        if key not in ids:
+            ids[key] = len(matrices)
+            matrices.append(matrices[base].power(exponent, chains.setdefault(base, []))
+                            if right is None else matrices[base] @ matrices[named[right]])
+        named[slot] = ids[key]
+    value = float(automaton.initial @ matrices[named[-1]].entries @ automaton._final_vector)
+    return lengths[-1], min(max(value, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,34 +380,31 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
-    realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
-    plan = _plan(expr)
-    schedules = {}   # exponent tuple -> its schedule, built once
+    return sweep(automaton, expr, mode, n_max)
 
-    def schedule(n):
+
+def sweep(automaton: ProbabilisticAutomaton, expr: OmegaExpression, mode: str, n_max: int,
+          reference=None) -> ConvergenceReport:
+    """Report the acceptance probabilities of the `mode` realizations of
+    `expr` at n = 1..n_max, with `reference(exponents)` when given.  The
+    expression is planned once; each n runs the plan's integer steps, and
+    each distinct exponent tuple is evaluated once, its length, value and
+    reference objects serving every sample that repeats it."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    plan = lengths, steps, letters = _plan(expr)
+    if mode == "superpolynomial":   # the outer power is one more step, into a new root slot
+        lengths, steps = lengths + (None,), steps + ((len(lengths), len(lengths) - 1, None),)
+    matrices = [None] * len(lengths)
+    for slot, token in letters:
+        matrices[slot] = automaton.word_matrix((token,))
+    powered, memo, rows, samples = (lengths, steps, letters), ({}, matrices, {}), {}, []
+    for n in range(1, n_max + 1):
         exponents = _exponents(plan, n, mode)
-        if exponents not in schedules:
-            schedules[exponents] = realize(expr, n)
-        return schedules[exponents]
-
-    return sweep(automaton, map(schedule, range(1, n_max + 1)))
-
-
-def sweep(automaton: ProbabilisticAutomaton, schedules, references=()) -> ConvergenceReport:
-    """Report the acceptance probabilities of `schedules`, the samples at
-    n = 1, 2, ..., each with the matching entry of `references`, if any;
-    `references` must then be as long as `schedules`.
-
-    Equal schedules are one node, so each distinct schedule is evaluated
-    once and its value object reused for every sample that repeats it,
-    which lets the report share their cells."""
-    memo = {}   # consecutive n mostly share their factorials and sub-schedules
-    values = {}
-    references = iter(references)
-    samples = []
-    for n, schedule in enumerate(schedules, 1):
-        value = values.get(schedule)
-        if value is None:
-            value = values[schedule] = schedule_acceptance_probability(automaton, schedule, memo)
-        samples.append(SamplePoint._wrap(n, schedule.length, value, next(references, None)))
+        row = rows.get(exponents)
+        if row is None:
+            length, value = _evaluate(automaton, powered, exponents, memo)
+            row = rows[exponents] = (length, value,
+                                     None if reference is None else reference(exponents))
+        samples.append(SamplePoint._wrap(n, *row))
     return build_report(samples)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Concat, Literal, Power, ProbabilisticAutomaton, StochasticMatrix,
-                   WordSchedule, acceptance_probability)
+from .core import ProbabilisticAutomaton, StochasticMatrix, acceptance_probability
+from .expressions import Letter, Omega, Product, product_of
 from .numerics import (ConvergenceReport, polynomial_exponent, superpolynomial_exponent,
                        sweep)
 
@@ -195,11 +195,6 @@ def round_schedule(n: int, word_length: int) -> tuple:
     return k, big_n
 
 
-def round_word(word, k: int, rounds: int) -> WordSchedule:
-    """The schedule of (check (w end)^k)^rounds."""
-    return Power(Concat(Literal((CHECK,)), Power(Literal(tuple(word) + (END,)), k)), rounds)
-
-
 def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
                      reduction: ReductionOutput | None = None) -> ConvergenceReport:
     """Cross-check the construction along the round schedule.
@@ -215,11 +210,12 @@ def verify_reduction(automaton: ProbabilisticAutomaton, word, n_max: int = 8,
     x = acceptance_probability(automaton, word)
     if reduction is None:
         reduction = build_reduction(automaton)
-    parameters = [round_schedule(n, len(word)) for n in range(1, n_max + 1)]
-    pairs = dict.fromkeys(parameters)
-    words = {pair: round_word(word, *pair) for pair in pairs}
-    # One float per pair: the samples of a pair share their report cells.
-    references = {(k, rounds): round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
-                  for k, rounds in pairs}
-    return sweep(reduction.automaton, map(words.__getitem__, parameters),
-                 map(references.__getitem__, parameters))
+    # The rounds (check (w end)^k)^N: the super-polynomial realizations of
+    # check (w end)^w, whose exponent tuples are `round_schedule`'s (k, N).
+    expr = Product(Letter(CHECK), Omega(product_of(map(Letter, word + (END,)))))
+
+    def reference(exponents):
+        k, rounds = exponents
+        return round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
+
+    return sweep(reduction.automaton, expr, "superpolynomial", n_max, reference)

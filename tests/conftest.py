@@ -320,12 +320,20 @@ def expand_schedule(schedule, limit=10**6):
     return words[schedule]
 
 
+def round_word(word, k, rounds):
+    """The schedule of (check (w end)^k)^rounds, built node by node."""
+    from prostochastic import Concat, Literal, Power
+
+    one_round = Concat(Literal((reduction.CHECK,)), Power(Literal((*word, reduction.END)), k))
+    return Power(one_round, rounds)
+
+
 def round_probability_by_matrix(built, word, k, rounds):
     """Acceptance probability of (check (w end)^k)^rounds on the built
     reduction automaton, evaluated by structured matrix powering."""
     from prostochastic import schedule_acceptance_probability
 
-    return schedule_acceptance_probability(built.automaton, reduction.round_word(word, k, rounds))
+    return schedule_acceptance_probability(built.automaton, round_word(word, k, rounds))
 
 
 def direct_round_sum(p_win, p_lose, rounds):
@@ -427,37 +435,38 @@ def power_exponents(monkeypatch):
 
 
 @pytest.fixture
-def schedule_evaluations(monkeypatch):
-    """Every schedule whose acceptance probability `numerics.sweep`
-    evaluates during the test, in order."""
-    schedules = []
-    original = numerics.schedule_acceptance_probability
+def sweep_evaluations(monkeypatch):
+    """The exponent tuple of every realization whose length and value
+    `numerics.sweep` evaluates during the test, in order."""
+    tuples = []
+    original = numerics._evaluate
 
-    def counting(automaton, schedule, memo=None):
-        schedules.append(schedule)
-        return original(automaton, schedule, memo)
+    def counting(automaton, plan, exponents, memo):
+        tuples.append(exponents)
+        return original(automaton, plan, exponents, memo)
 
-    monkeypatch.setattr(numerics, "schedule_acceptance_probability", counting)
-    return schedules
+    monkeypatch.setattr(numerics, "_evaluate", counting)
+    return tuples
 
 
 @pytest.fixture
 def schedule_builds(monkeypatch):
-    """The arguments of every `realize_polynomial`, `realize_superpolynomial`
-    and `round_word` call that `estimate_limit` and `verify_reduction` make
-    during the test, in order."""
-    calls = []
-    for module, name in ((numerics, "realize_polynomial"),
-                         (numerics, "realize_superpolynomial"),
-                         (reduction, "round_word")):
-        original = getattr(module, name)
+    """Every schedule node built during the test, by any caller, as its
+    class and fields, in order; `realize_polynomial`,
+    `realize_superpolynomial` and `round_word` calls build them."""
+    from prostochastic import WordSchedule
+    from prostochastic.expressions import Node
 
-        def counting(*args, original=original):
-            calls.append(args)
-            return original(*args)
+    builds = []
+    original = Node.__new__
 
-        monkeypatch.setattr(module, name, counting)
-    return calls
+    def counting(cls, *fields):
+        if cls in WordSchedule:
+            builds.append((cls, *fields))
+        return original(cls, *fields)
+
+    monkeypatch.setattr(Node, "__new__", staticmethod(counting))
+    return builds
 
 
 @pytest.fixture

@@ -442,8 +442,9 @@ class TestReduce:
         assert len(built) == 1
 
     @pytest.mark.parametrize("options,message", [
-        (["-w", "a", "-n", "0"], "zero samples"),
+        (["-w", "a", "-n", "0"], "n_max must be >= 1"),
         (["-w", "z"], "unknown letter"),
+        (["-w", "a", "-n", "-3"], "n_max must be >= 1"),
     ])
     def test_verification_failure_writes_nothing(self, tmp_path, capsys, options, message):
         path = write(tmp_path, "coin.json", coin_automaton(0.8))

@@ -353,7 +353,7 @@ class TestExponentPlan:
         automaton = counterexample_automaton(0.7)
         expr = parse_expression("b a^w", automaton.alphabet)
         estimate_limit(automaton, expr, "polynomial", 40)
-        assert len(plans) == 1 + len(schedule_builds) == 5
+        assert len(plans) == 1 and schedule_builds == []
 
 
 class TestConcat:
@@ -425,7 +425,7 @@ class TestEstimateLimit:
 
 
 class TestSweepMemo:
-    """One `estimate_limit` sweep evaluates each distinct schedule node once."""
+    """One `estimate_limit` sweep evaluates each distinct sub-realization once."""
 
     def test_one_power_call_per_distinct_power_node(self, power_exponents):
         automaton = counterexample_automaton(0.9)
@@ -442,13 +442,14 @@ class TestSweepMemo:
         full = squaring_chain_lengths(realize_superpolynomial(expr, n) for n in range(1, 41))
         assert (matrix_squarings.squarings, full) == (62, 1112)
 
-    def test_one_evaluation_per_distinct_schedule(self, schedule_evaluations):
+    def test_one_evaluation_per_distinct_schedule(self, sweep_evaluations):
         automaton = counterexample_automaton(0.9)
         expr = parse_expression("(b a^w)^w", automaton.alphabet)
         estimate_limit(automaton, expr, "superpolynomial", 40)
+        tuples = [exponents_by_postorder(expr, n, "superpolynomial") for n in range(1, 41)]
         distinct = {realize_superpolynomial(expr, n) for n in range(1, 41)}
-        assert len(schedule_evaluations) == len(set(schedule_evaluations)) == len(distinct) == 11
-        assert set(schedule_evaluations) == distinct
+        assert sweep_evaluations == list(dict.fromkeys(tuples))
+        assert len(sweep_evaluations) == len(distinct) == 11
 
     @pytest.mark.parametrize("text,mode,builds", [("(b a^w)^w", "superpolynomial", 11),
                                                   ("(b a^w)^w", "polynomial", 6),
@@ -458,10 +459,10 @@ class TestSweepMemo:
         automaton = counterexample_automaton(0.7)
         expr = parse_expression(text, automaton.alphabet)
         estimate_limit(automaton, expr, mode, 40)
+        assert schedule_builds == []   # the sweep evaluates the plan, not schedules
         realize = realize_polynomial if mode == "polynomial" else realize_superpolynomial
-        distinct = {realize(expr, n) for n in range(1, 41)}
-        assert len(schedule_builds) == len(distinct) == builds
-        assert {realize(*args) for args in schedule_builds} == distinct
+        assert len({realize(expr, n) for n in range(1, 41)}) == builds
+        assert schedule_builds   # building them is seen
 
     @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
                                               ("superpolynomial", realize_superpolynomial)])
@@ -485,6 +486,47 @@ class TestSweepMemo:
         for sample in report.samples:
             assert sample.value == schedule_acceptance_probability(automaton,
                                                                    realize(expr, sample.n))
+
+
+class TestSweepAgainstSchedules:
+    """Every sample of a sweep has the bits and the length of one memo-free
+    evaluation of its realization's schedule."""
+
+    @staticmethod
+    def corpus():
+        # Random 2-5-state automata whose zero entries (initial vector
+        # included) are a random mix of 0.0 and -0.0, three expressions each.
+        rng = np.random.default_rng(9090)
+        cases = []
+        for _ in range(30):
+            dim = int(rng.integers(2, 6))
+            transitions = {}
+            for letter in ("a", "b"):
+                rows = np.array(random_stochastic(rng, dim).entries)
+                rows[(rows == 0.0) & (rng.random((dim, dim)) < 0.5)] = -0.0
+                transitions[letter] = rows
+            initial = np.where(rng.random(dim) < 0.5, -0.0, 0.0)
+            initial[rng.integers(dim)] = 1.0
+            final = [bool(v) for v in rng.random(dim) < 0.5]
+            automaton = ProbabilisticAutomaton([f"s{i}" for i in range(dim)], ("a", "b"),
+                                               transitions, initial, final)
+            for _ in range(3):
+                expr = random_expression(rng, ("a", "b"), int(rng.integers(0, 3)),
+                                         int(rng.integers(1, 7)))
+                cases.append((automaton, expr))
+        assert any(np.signbit(automaton.transition("a").entries).any() for automaton, _ in cases)
+        return cases
+
+    @pytest.mark.parametrize("mode,realize", [("polynomial", realize_polynomial),
+                                              ("superpolynomial", realize_superpolynomial)])
+    def test_samples_equal_memo_free_schedule_values(self, mode, realize):
+        for automaton, expr in self.corpus():
+            report = estimate_limit(automaton, expr, mode, 16)
+            for sample in report.samples:
+                schedule = realize(expr, sample.n)
+                assert (sample.value.hex(), sample.length) == (
+                    schedule_acceptance_probability(automaton, schedule).hex(), schedule.length)
+            assert report.render_text() == render_text_per_sample(report)
 
 
 class TestReports:
@@ -523,12 +565,24 @@ class TestReports:
         with pytest.raises(ValueError, match="reference"):
             build_report([SamplePoint(1, 1, 0.5), SamplePoint(2, 2, 0.6, 0.6)])
 
-    def test_sweep_rejects_fewer_references_than_schedules(self, absorbing):
-        schedules = [Literal(("a",) * n) for n in range(1, 4)]
-        with pytest.raises(ValueError, match="reference"):
-            numerics.sweep(absorbing, schedules, [0.5])
-        report = numerics.sweep(absorbing, schedules, [0.5, 0.75, 0.875])
-        assert [sample.discrepancy for sample in report.samples] == [0.0, 0.0, 0.0]
+    def test_sweep_takes_one_reference_per_exponent_tuple(self, absorbing):
+        # Acceptance of a^k is 1 - 2^-k exactly: every discrepancy is 0.
+        calls = []
+
+        def reference(exponents):
+            calls.append(exponents)
+            return 1.0 - 0.5 ** exponents[0]
+
+        report = numerics.sweep(absorbing, parse_expression("a^w", ("a",)), "polynomial", 8,
+                                reference)
+        assert calls == [(1,), (2,), (6,)]
+        assert [sample.discrepancy for sample in report.samples] == [0.0] * 8
+        assert len({id(sample.reference) for sample in report.samples}) == 3
+
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_sweep_rejects_an_empty_range(self, absorbing, n_max):
+        with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
+            numerics.sweep(absorbing, parse_expression("a", ("a",)), "polynomial", n_max)
 
     def test_trusted_samples_equal_checked_ones(self):
         sample = SamplePoint._wrap(3, 2 ** 400, 0.5, None)

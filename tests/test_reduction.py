@@ -11,8 +11,8 @@ from prostochastic import (Concat, Literal, Power, PreconditionError, Probabilis
 from prostochastic.numerics import polynomial_exponent, superpolynomial_exponent
 from prostochastic.reduction import CHECK, END
 from conftest import (coin_automaton, direct_round_sum, funnel_automaton, power_nodes,
-                      round_probability_by_matrix, single_state_automaton,
-                      squaring_chain_lengths)
+                      render_text_per_sample, round_probability_by_matrix, round_word,
+                      single_state_automaton, squaring_chain_lengths)
 
 
 class TestCounterexampleAutomaton:
@@ -304,20 +304,22 @@ class TestVerifySweepMemo:
         full = squaring_chain_lengths(schedule for _, schedule in self.round_schedules())
         assert (matrix_squarings.squarings, full) == (56, 197)
 
-    def test_one_evaluation_per_distinct_schedule(self, schedule_evaluations):
+    def test_one_evaluation_per_distinct_schedule(self, sweep_evaluations):
         verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        pairs = [round_schedule(n, len(self.WORD)) for n in range(1, self.N_MAX + 1)]
         distinct = {schedule for _, schedule in self.round_schedules()}
-        assert len(schedule_evaluations) == len(set(schedule_evaluations)) == len(distinct) == 7
-        assert set(schedule_evaluations) == distinct
+        assert sweep_evaluations == list(dict.fromkeys(pairs))
+        assert len(sweep_evaluations) == len(distinct) == 7
 
     def test_one_build_per_distinct_schedule(self, schedule_builds):
         report = verify_reduction(coin_automaton(0.7), self.WORD, n_max=self.N_MAX)
+        assert schedule_builds == []   # the sweep evaluates the plan, not schedules
         pairs = {round_schedule(n, len(self.WORD)) for n in range(1, self.N_MAX + 1)}
-        assert len(schedule_builds) == len(pairs) == 7
-        assert set(schedule_builds) == {(self.WORD, k, rounds) for k, rounds in pairs}
+        assert len(pairs) == 7
         schedules = dict(self.round_schedules())
         assert [sample.length for sample in report.samples] == [
             schedules[n].length for n in range(1, self.N_MAX + 1)]
+        assert schedule_builds   # building the round words is seen
 
     def test_one_reference_per_distinct_pair(self, monkeypatch):
         from prostochastic import reduction
@@ -346,6 +348,56 @@ class TestVerifySweepMemo:
         for sample, (n, schedule) in zip(report.samples, self.round_schedules()):
             assert sample.n == n
             assert sample.value == schedule_acceptance_probability(built, schedule)
+
+
+class TestVerifyAgainstRoundWords:
+    """`verify_reduction` sweeps the expression check (w end)^w: its exponent
+    tuples are the round parameters, and its samples have the bits of a
+    memo-free evaluation of each round word."""
+
+    @staticmethod
+    def signed_zero_automaton():
+        # Every zero is -0.0, the initial state's column among them.
+        return ProbabilisticAutomaton(
+            ("s0", "s1", "s2"), ("a", "b"),
+            {"a": [[-0.0, 0.6, 0.4], [-0.0, 0.5, 0.5], [-0.0, -0.0, 1.0]],
+             "b": [[-0.0, 0.3, 0.7], [-0.0, 1.0, -0.0], [-0.0, 0.25, 0.75]]},
+            (1.0, -0.0, -0.0), (False, True, False))
+
+    def test_round_expression_exponents_are_the_round_schedule(self, monkeypatch):
+        from prostochastic import numerics, reduction
+        swept = []
+        original = reduction.sweep
+
+        def capturing(automaton, expr, mode, n_max, reference=None):
+            swept.append((expr, mode))
+            return original(automaton, expr, mode, n_max, reference)
+
+        monkeypatch.setattr(reduction, "sweep", capturing)
+        for word in (("a",), ("a", "b"), ("b", "a", "b"), ("a", "b", "b", "a")):
+            verify_reduction(self.signed_zero_automaton(), word, n_max=3)
+            (expr, mode), = swept
+            swept.clear()
+            plan = numerics._plan(expr)
+            for n in range(1, 401):
+                assert numerics._exponents(plan, n, mode) == round_schedule(n, len(word))
+
+    @pytest.mark.parametrize("word", [("a",), ("b", "a"), ("a", "b", "b")])
+    def test_samples_equal_memo_free_round_words(self, word):
+        from prostochastic import acceptance_probability
+        automaton = self.signed_zero_automaton()
+        built = build_reduction(automaton).automaton
+        assert np.signbit(built.transition("a").entries).any()
+        x = acceptance_probability(automaton, word)
+        report = verify_reduction(automaton, word, n_max=30)
+        for sample in report.samples:
+            k, rounds = round_schedule(sample.n, len(word))
+            schedule = round_word(word, k, rounds)
+            reference = round_acceptance(0.5 * x ** k, 0.5 * (1.0 - x) ** k, rounds)
+            assert (sample.value.hex(), sample.length, sample.reference.hex()) == (
+                schedule_acceptance_probability(built, schedule).hex(), schedule.length,
+                reference.hex())
+        assert report.render_text() == render_text_per_sample(report)
 
 
 class TestPipelineInvariants:
