@@ -246,9 +246,9 @@ class _RowIds(dict):
 
     __slots__ = ("rows", "limit")
 
-    def __init__(self):
+    def __init__(self, limit: int | None = 256):
         self.rows = []
-        self.limit = 256
+        self.limit = limit
 
     def __missing__(self, mask: int) -> int:
         ident = len(self.rows)
@@ -275,15 +275,6 @@ def _wide_product(key: tuple, table: dict) -> tuple:
     return operator.itemgetter(*key)(table)
 
 
-def _widen(keys: list, tables: list, generators: list, filled: int) -> set:
-    """Make the `bytes` keys tuples of ids and each table a dict of its
-    entries below `filled`, in place; returns the keys as a set."""
-    keys[:] = map(tuple, keys)
-    tables[:] = [(masks, dict(zip(range(filled), table))) for masks, table in tables]
-    generators[:] = [(k, table) for (k, _), (_, table) in zip(generators, tables)]
-    return set(keys)
-
-
 def _saturate(supports: Mapping[str, BooleanMatrix],
               step: Callable[[tuple], tuple | None] | None,
               stop: Callable[[tuple], bool] | None = None) -> tuple:
@@ -303,116 +294,109 @@ def _saturate(supports: Mapping[str, BooleanMatrix],
     first element it accepts ends the saturation, and the table returned
     ends with that element.  Discovery order does not depend on `stop`, so
     that table is a prefix of the full one.
+
+    Past 256 distinct rows the saturation starts again on tuple keys.  As
+    discovery order does not depend on the key form, the new run skips
+    `stop` on the elements the first run added, each tested as added.
     """
     keys, origins = [], []
-    rows = _enumerate(supports, step, stop, keys, origins)
+    try:
+        rows = _enumerate(supports, step, stop, keys, origins, 256)
+    except _RowIdsFull:
+        if stop is not None:
+            tested = iter(range(len(keys)))
+            stop = lambda masks, test=stop: next(tested, None) is None and test(masks)
+        keys, origins = [], []
+        rows = _enumerate(supports, step, stop, keys, origins, None)
     return tuple(keys), tuple(rows), tuple(origins)
 
 
-def _enumerate(supports, step, stop, keys: list, origins: list) -> list:
+def _enumerate(supports, step, stop, keys: list, origins: list, limit: int | None) -> list:
     """The loop of `_saturate`: appends to `keys` and `origins`, and returns
-    the row mask of each id.
+    the row mask of each id; raises `_RowIdsFull` when it needs id `limit`.
 
     An element is its key, the ids of its rows (`_RowIds`) as a `bytes`
-    string.  Each generator has a 256-byte table whose entry i is the id of
-    row i times the generator, so an element times a generator is
-    `key.translate(table)`, and a `bytes` key caches its hash for the
-    `seen` test.  The entries of an id are filled for every table at once,
-    in id order, before the first key that holds the id is multiplied: an
-    entry not yet filled reads 0.
-
-    Past 256 distinct rows the keys become tuples of ids and the tables
-    dicts, in place (`_widen`), and the loop goes on from the element whose
-    step ran out of ids.  Each step makes the ids it needs before it adds
-    an element, so that element's step, run again, adds no element twice
-    and calls `stop` on none twice.
+    string (with no `limit`, a tuple).  Each generator has a 256-byte table
+    (a dict) whose entry i is the id of row i times the generator, so an
+    element times a generator is `key.translate(table)`, and a `bytes` key
+    caches its hash for the `seen` test.  The entries of an id are filled
+    for every table at once, in id order, before the first key that holds
+    the id is multiplied: an entry not yet filled reads 0.
     """
-    ids = _RowIds()
+    ids = _RowIds(limit)
     intern, row, fill = ids.__getitem__, ids.rows.__getitem__, ids.fill
-    pack, times, new_table = bytes, bytes.translate, functools.partial(bytearray, 256)
+    if limit is None:
+        pack, times, new_table = tuple, _wide_product, dict
+    else:
+        pack, times, new_table = bytes, bytes.translate, functools.partial(bytearray, 256)
     seen, stables = set(), set()  # the elements' keys; the stabilizations met
     tables, generators = [], []  # (masks, table) and (element index, table) per generator
     # With `stop`, the masks built for it are kept for `step`.
     kept = [] if stop is not None else None
     processed = filled = 0       # the tables hold the ids below `filled`
-    # Each new element is added inline: its key to `seen` and `keys`, its
-    # origin to `origins`, and then `stop` may end the saturation.  Most
-    # products are duplicates; they add nothing.  After `_widen`, the
-    # letters are read again: they are all in `seen`.
-    while True:
-        try:
-            for letter, matrix in supports.items():
-                masks = matrix.masks
-                if (key := pack(map(intern, masks))) not in seen:
-                    seen.add(key)
-                    keys.append(key)
-                    origins.append((Letter, letter))
-                    table = new_table()
-                    tables.append((masks, table))
-                    generators.append((len(keys) - 1, table))
-                    if stop is not None:
-                        kept.append(masks)
-                        if stop(masks):
-                            return ids.rows
-            while processed < len(keys):
-                left = keys[processed]
-                if (top := max(left)) >= filled:
-                    fill(range(filled, top + 1), tables)
-                    filled = top + 1
-                for generator, table in generators:
-                    product = times(left, table)
-                    if product not in seen:
-                        seen.add(product)
-                        keys.append(product)
-                        origins.append((Product, processed, generator))
-                        if stop is not None:
-                            kept.append(masks := tuple(map(row, product)))
-                            if stop(masks):
-                                return ids.rows
-                if step is not None:
-                    masks = kept[processed] if kept is not None else tuple(map(row, left))
-                    stable = step(masks)
-                    # Two stabilizations need no key: an idempotent's own
-                    # masks (`step` returns them; their key is `left`), and
-                    # one met before.  Of the idempotents of the 310- and
-                    # 268-element reductions, 27 % and 23 % are the first
-                    # kind and 64 % and 67 % the second.
-                    if stable is not None and stable is not masks and stable not in stables:
-                        stables.add(stable)
-                        if (key := pack(map(intern, stable))) not in seen:
-                            # The new generator meets `left` and the elements
-                            # before it, whose ids are all below `filled`.
-                            table = new_table()
-                            fill(range(filled), ((stable, table),))
-                            seen.add(key)
-                            keys.append(key)
-                            origins.append((Omega, processed))
-                            if stop is not None:
-                                kept.append(stable)
-                                if stop(stable):
-                                    return ids.rows
-                            generator = len(keys) - 1
-                            for k in range(processed + 1):
-                                product = times(keys[k], table)
-                                if product not in seen:
-                                    seen.add(product)
-                                    keys.append(product)
-                                    origins.append((Product, k, generator))
-                                    if stop is not None:
-                                        kept.append(masks := tuple(map(row, product)))
-                                        if stop(masks):
-                                            return ids.rows
-                            tables.append((stable, table))
-                            generators.append((generator, table))
-                processed += 1
+
+    def add(key, origin, masks=None) -> bool:
+        """Add a new element; True when `stop` accepts it."""
+        seen.add(key)
+        keys.append(key)
+        origins.append(origin)
+        if stop is None:
+            return False
+        kept.append(masks := tuple(map(row, key)) if masks is None else masks)
+        return stop(masks)
+
+    def adjoin(masks, origin, done: int) -> bool:
+        """Add the generator of row masks `masks`, unless it is an element,
+        and multiply the elements below `done` by it; True when `stop` accepts one."""
+        if (key := pack(map(intern, masks))) in seen:
+            return False
+        table = new_table()
+        fill(range(filled), ((masks, table),))
+        if add(key, origin, masks):
+            return True
+        generator = len(keys) - 1
+        for k in range(done):
+            product = times(keys[k], table)
+            if product not in seen and add(product, (Product, k, generator)):
+                return True
+        tables.append((masks, table))
+        generators.append((generator, table))
+        return False
+
+    for letter, matrix in supports.items():
+        if adjoin(matrix.masks, (Letter, letter), 0):
             return ids.rows
-        except _RowIdsFull:
-            # `stables` may hold the stabilization whose key or table ran
-            # out of ids: it is met again as new.
-            stables.clear()
-            ids.limit = None
-            pack, times, new_table = tuple, _wide_product, dict
-            seen = _widen(keys, tables, generators, filled)
+    # Most products are duplicates; a new one is added inline, as by `add`.
+    while processed < len(keys):
+        left = keys[processed]
+        if (top := max(left)) >= filled:
+            fill(range(filled, top + 1), tables)
+            filled = top + 1
+        for generator, table in generators:
+            product = times(left, table)
+            if product not in seen:
+                seen.add(product)
+                keys.append(product)
+                origins.append((Product, processed, generator))
+                if stop is not None:
+                    kept.append(masks := tuple(map(row, product)))
+                    if stop(masks):
+                        return ids.rows
+        if step is not None:
+            masks = kept[processed] if kept is not None else tuple(map(row, left))
+            stable = step(masks)
+            # Two stabilizations need no key: an idempotent's own masks
+            # (`step` returns them; their key is `left`), and one met
+            # before.  Of the idempotents of the 310- and 268-element
+            # reductions, 27 % and 23 % are the first kind and 64 % and
+            # 67 % the second.  A new one meets `left` and the elements
+            # before it, whose ids are all below `filled`.
+            if stable is not None and stable is not masks and stable not in stables:
+                stables.add(stable)
+                if adjoin(stable, (Omega, processed), processed + 1):
+                    return ids.rows
+        processed += 1
+    return ids.rows
 
 
 def markov_monoid(automaton: ProbabilisticAutomaton,

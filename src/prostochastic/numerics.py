@@ -376,8 +376,6 @@ def estimate_limit(automaton: ProbabilisticAutomaton,
                    n_max: int) -> ConvergenceReport:
     """Sample acceptance probabilities of the realized expression for
     n = 1..n_max and report the extrapolated limit and decay-rate fit."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
     return sweep(automaton, expr, mode, n_max)
@@ -390,6 +388,8 @@ def sweep(automaton: ProbabilisticAutomaton, expr: OmegaExpression, mode: str, n
     expression is planned once; each n runs the plan's integer steps, and
     each distinct exponent tuple is evaluated once, its length, value and
     reference objects serving every sample that repeats it."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     plan = lengths, steps, letters = _plan(expr)

@@ -210,6 +210,24 @@ def random_nine_state_automaton(seed=2):
                                   (1.0,) + (0.0,) * (n - 1), (False,) * (n - 1) + (True,))
 
 
+def seeded_sparse_automaton(seed):
+    """9-11 states and 2-3 letters, drawn from `random.Random(seed)`; each
+    row of each letter puts equal weight on 1-3 states.  s0 is initial and
+    the last state final.  Seed 68 gives 11 states, 3 letters and a monoid
+    of 3,295 elements with 282 distinct rows, whose element 85 is the first
+    to hold the 257th row."""
+    rng = random.Random(seed)
+    n, k = rng.choice((9, 10, 11)), rng.choice((2, 3))
+    transitions = {}
+    for letter in "abc"[:k]:
+        transitions[letter] = []
+        for _ in range(n):
+            succ = rng.sample(range(n), rng.choice((1, 2, 3)))
+            transitions[letter].append([1 / len(succ) if t in succ else 0.0 for t in range(n)])
+    return ProbabilisticAutomaton(tuple(f"s{i}" for i in range(n)), tuple("abc"[:k]), transitions,
+                                  (1.0,) + (0.0,) * (n - 1), (False,) * (n - 1) + (True,))
+
+
 def constant_map(n, subset):
     """Each of the `n` states moves uniformly onto the states in the mask `subset`."""
     row = [1 / subset.bit_count() if subset >> t & 1 else 0.0 for t in range(n)]

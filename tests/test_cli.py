@@ -13,7 +13,7 @@ from prostochastic import cli
 from prostochastic.cli import main
 from conftest import (absorbing_automaton, coin_automaton, funnel_automaton,
                       permutation_automaton, single_state_automaton,
-                      reference_saturate, symmetric_group_automaton,
+                      reference_saturate, seeded_sparse_automaton, symmetric_group_automaton,
                       wide_constant_automaton, wide_midrun_automaton,
                       wide_omega_automaton)
 
@@ -248,6 +248,9 @@ COUNTEREXAMPLE_DUMP = "622e4a8bd903bfd3a1e543484a707844770b3b3538aeb8e665b07d3eb
 # A seeded random 9-state, 3-letter automaton whose monoid finds 15
 # stabilizations mid-run, each then multiplied into the elements before it.
 RANDOM_NINE_DUMP = "1a0573d51c4f6b069e544bac7645ce575a39d9b39be70c3247f13dbe495d4c43"
+# `seeded_sparse_automaton(68)`: 11 states, 3 letters and 282 distinct
+# rows, the 257th met at element 85 of 3,295.
+SEEDED_WIDE_DUMP = "9cd73181337afa88d6aa79094b4689cddf4eaa0a5ea500ca423840c2faf7badc"
 
 
 def random_nine_state_json():
@@ -296,6 +299,13 @@ class TestMonoidDumpDigests:
         assert out.splitlines()[:2] == ["elements: 11168",
                                         "letters: 3 products: 11150 stabilizations: 15"]
         assert sha256(out) == RANDOM_NINE_DUMP
+
+    def test_seeded_wide_rows(self, tmp_path, capsys):
+        assert main(["monoid", write(tmp_path, "seed68.json", seeded_sparse_automaton(68))]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == ["elements: 3295",
+                                        "letters: 3 products: 3289 stabilizations: 3"]
+        assert sha256(out) == SEEDED_WIDE_DUMP
 
 
 class TestWideRows:

@@ -19,9 +19,9 @@ from prostochastic import (BooleanMatrix, IdempotenceError, Letter, MarkovMonoid
 from conftest import (absorbing_automaton, brute_force_word_closure, coin_automaton,
                       funnel_automaton, is_value1_witness, permutation_automaton,
                       random_nine_state_automaton, random_quarter_automaton,
-                      random_stochastic, reference_saturate, single_state_automaton,
-                      symmetric_group_automaton, transition_monoid, wide_constant_automaton,
-                      wide_midrun_automaton, wide_omega_automaton)
+                      random_stochastic, reference_saturate, seeded_sparse_automaton,
+                      single_state_automaton, symmetric_group_automaton, transition_monoid,
+                      wide_constant_automaton, wide_midrun_automaton, wide_omega_automaton)
 
 UPPER = BooleanMatrix(((1, 1), (0, 1)))
 SWAP = BooleanMatrix(((0, 1), (1, 0)))
@@ -750,8 +750,9 @@ class TestAgainstReferenceKernel:
         assert all(type(key) is tuple for key in monoid.keys)
         value1 = monoid_module._value1_test(automaton)
         matches_reference(automaton, lambda: value1)
-        # The keys turn from `bytes` into tuples mid-run, and the step
-        # that ran out of ids runs again; still each element is tested once.
+        # The run that meets the 257th row starts again on tuple keys, and
+        # skips `stop` on the elements the first run tested: still each
+        # element is tested once.
         size, calls = len(monoid) - 2, []
 
         def recording(masks):
@@ -761,6 +762,26 @@ class TestAgainstReferenceKernel:
         stopped = markov_monoid(automaton, stop=recording)
         assert stopped.masks == monoid.masks[:size]
         assert calls == list(monoid.masks[:size])
+
+    def test_seeded_wide_rows(self):
+        # A random 11-state, 3-letter automaton whose 282 distinct rows
+        # are not built for it: element 85 holds the 257th.
+        automaton = seeded_sparse_automaton(68)
+        monoid = matches_reference(automaton)
+        assert (len(monoid), len(monoid.rows)) == (3295, 282)
+        assert next(k for k, key in enumerate(monoid.keys) if max(key) >= 256) == 85
+        value1 = monoid_module._value1_test(automaton)
+        matches_reference(automaton, lambda: value1)
+        # One call list for the reference kernel, then one for `markov_monoid`.
+        runs = []
+
+        def recording():
+            calls = []
+            runs.append(calls)
+            return lambda masks: calls.append(masks) or False
+
+        matches_reference(automaton, recording)
+        assert runs == [list(monoid.masks)] * 2
 
     def test_wide_constant_maps_are_the_letters(self):
         monoid = markov_monoid(wide_constant_automaton())

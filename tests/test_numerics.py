@@ -584,6 +584,11 @@ class TestReports:
         with pytest.raises(ValueError, match=r"^n_max must be >= 1$"):
             numerics.sweep(absorbing, parse_expression("a", ("a",)), "polynomial", n_max)
 
+    def test_sweep_rejects_an_unknown_mode(self):
+        expr = parse_expression("b a^w", ("a", "b"))
+        with pytest.raises(ValueError, match=r"^mode must be one of "):
+            numerics.sweep(counterexample_automaton(0.7), expr, "bogus", 3)
+
     def test_trusted_samples_equal_checked_ones(self):
         sample = SamplePoint._wrap(3, 2 ** 400, 0.5, None)
         assert sample == SamplePoint(3, 2 ** 400, 0.5)
