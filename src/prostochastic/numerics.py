@@ -1,6 +1,10 @@
 """Convergence machinery: factorial exponent schedules, power limits of
 stochastic matrices, numeric interpretation of omega-expressions, and
-realization of expressions as evaluable word schedules.
+realization of expressions.  One plan per expression and mode describes a
+realization: its power steps carry their exponent rules, the outer
+super-polynomial power among them, and each n's exponents and word length
+come from one integer pass over it.  Sweeps evaluate the plan's steps on
+matrices; `realize_*` build word schedules from the same steps.
 
 Factorial exponents matter because they kill periodicity: for every p the
 schedule is eventually divisible by p, so the matrix power sequence settles
@@ -153,21 +157,24 @@ def realize_polynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     Letters stay literal, products concatenate, and omega raises the
     realized child to the largest factorial below n times its length.
     """
-    return _schedule(expr, _exponents(_plan(expr), n, "polynomial"))
+    return _schedule(plan := _plan(expr, "polynomial"), _exponents(plan, n)[0])
 
 
 def realize_superpolynomial(expr: OmegaExpression, n: int) -> WordSchedule:
     """Polynomial realization raised to the super-polynomial exponent."""
-    return _schedule(expr, _exponents(_plan(expr), n, "superpolynomial"))
+    return _schedule(plan := _plan(expr, "superpolynomial"), _exponents(plan, n)[0])
 
 
-def _plan(expr: OmegaExpression) -> tuple:
-    """The exponent plan of an expression, from one post-order walk: one
-    length slot per distinct node, the root's last, one step per product
-    or omega node, in post-order, that fills its slot for a given n, and
-    the (slot, token) pair of each letter.  A letter's slot holds 1; the
-    others hold None.  A step (slot, left, right) adds two slots; a step
-    (slot, child, None) is an omega, whose exponent scales its child's slot."""
+def _plan(expr: OmegaExpression, mode: str) -> tuple:
+    """The `mode` realization plan of an expression, from one post-order
+    walk: one slot per distinct node, the root's last, the (slot, token)
+    pair of each letter, and one step per product or power, in post-order,
+    that fills its slot.  A letter's slot holds its length 1, the others
+    None.  A step (slot, left, right, None) concatenates two slots; a step
+    (slot, child, None, rule) raises its child to `rule(n * child length)`:
+    `polynomial_exponent` for an omega, `superpolynomial_exponent` for the
+    outer power of super-polynomial mode, the last step, into a new root
+    slot."""
     slots, lengths, steps, letters = {}, [], [], []
     for node in postorder(expr):
         slot = slots[node] = len(lengths)
@@ -175,76 +182,71 @@ def _plan(expr: OmegaExpression) -> tuple:
         if isinstance(node, Letter):
             letters.append((slot, node.token))
         elif isinstance(node, Product):
-            steps.append((slot, slots[node.left], slots[node.right]))
+            steps.append((slot, slots[node.left], slots[node.right], None))
         elif isinstance(node, Omega):
-            steps.append((slot, slots[node.child], None))
+            steps.append((slot, slots[node.child], None, polynomial_exponent))
         else:
             raise TypeError(f"not an omega-expression: {node!r}")
+    if mode == "superpolynomial":
+        steps.append((len(lengths), len(lengths) - 1, None, superpolynomial_exponent))
+        lengths.append(None)
+    elif mode != "polynomial":
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     return tuple(lengths), tuple(steps), tuple(letters)
 
 
-def _exponents(plan: tuple, n: int, mode: str) -> tuple:
-    """The exponents of the n-th realization of a planned expression, as
-    ints: one per omega node in post-order, then, in super-polynomial mode,
-    the outer one.  Equal tuples of one expression and mode realize to the
-    same schedule."""
+def _exponents(plan: tuple, n: int) -> tuple:
+    """The exponents of the n-th realization of a plan, one per power step,
+    and its exact word length, from one pass over the steps in ints.
+    Equal exponent tuples of one plan realize to the same schedule."""
     if n < 1:
         raise ValueError("realization index must be >= 1")
     lengths, steps, _ = plan
     lengths, exponents = list(lengths), []
-    for slot, left, right in steps:
-        if right is None:
-            exponent = polynomial_exponent(n * lengths[left])
+    for slot, left, right, rule in steps:
+        if rule is None:
+            lengths[slot] = lengths[left] + lengths[right]
+        else:
+            exponent = rule(n * lengths[left])
             exponents.append(exponent)
             lengths[slot] = exponent * lengths[left]
-        else:
-            lengths[slot] = lengths[left] + lengths[right]
-    if mode == "superpolynomial":
-        exponents.append(superpolynomial_exponent(n * lengths[-1]))
-    return tuple(exponents)
+    return tuple(exponents), lengths[-1]
 
 
-def _schedule(expr: OmegaExpression, exponents: tuple) -> WordSchedule:
-    # The schedule of `expr` whose powers take `exponents`, as `_exponents` orders them.
-    exponents = iter(exponents)
-    schedules = {}
-    for node in postorder(expr):
-        if isinstance(node, Letter):
-            schedules[node] = Literal((node.token,))
-        elif isinstance(node, Product):
-            schedules[node] = Concat(schedules[node.left], schedules[node.right])
-        else:   # an omega: `_plan` has rejected other nodes
-            schedules[node] = Power(schedules[node.child], next(exponents))
-    outer = next(exponents, None)
-    return schedules[expr] if outer is None else Power(schedules[expr], outer)
+def _schedule(plan: tuple, exponents: tuple) -> WordSchedule:
+    """The schedule of a plan whose powers take `exponents`: a literal per
+    letter, a concatenation or power per step."""
+    lengths, steps, letters = plan
+    schedules, exponents = [None] * len(lengths), iter(exponents)
+    for slot, token in letters:
+        schedules[slot] = Literal((token,))
+    for slot, left, right, rule in steps:
+        schedules[slot] = (Concat(schedules[left], schedules[right]) if rule is None
+                           else Power(schedules[left], next(exponents)))
+    return schedules[-1]
 
 
 def _evaluate(automaton: ProbabilisticAutomaton, plan: tuple, exponents: tuple,
-              memo: tuple) -> tuple:
-    """The exact length and the acceptance probability of the realization
-    whose powers take `exponents`, run on the plan's steps without schedule
-    nodes.  `memo`, one per sweep, is (ids, matrices, chains): `ids` gives
-    each sub-realization, under (its slot, its children's ids, its
-    exponent), the index of its matrix in `matrices`, where a letter's id
-    is its slot, and `chains` holds each powered base's squaring chain."""
+              memo: tuple) -> float:
+    """The acceptance probability of the realization of a plan whose powers
+    take `exponents`, run on the plan's steps without schedule nodes.
+    `memo`, one per sweep, is (ids, matrices, chains): `ids` gives each
+    sub-realization, under (its slot, its children's ids or its child's id
+    and exponent), the index of its matrix in `matrices`, where a letter's
+    id is its slot, and `chains` holds each powered base's squaring chain."""
     lengths, steps, _ = plan
     ids, matrices, chains = memo
-    lengths, named = list(lengths), list(range(len(lengths)))
-    exponents = iter(exponents)
-    for slot, left, right in steps:
+    named, exponents = list(range(len(lengths))), iter(exponents)
+    for slot, left, right, rule in steps:
         base = named[left]
-        if right is None:
-            exponent = next(exponents)
-            key, lengths[slot] = (slot, base, exponent), exponent * lengths[left]
-        else:
-            key, lengths[slot] = (slot, base, named[right]), lengths[left] + lengths[right]
+        key = (slot, base, named[right] if rule is None else next(exponents))
         if key not in ids:
             ids[key] = len(matrices)
-            matrices.append(matrices[base].power(exponent, chains.setdefault(base, []))
-                            if right is None else matrices[base] @ matrices[named[right]])
+            matrices.append(matrices[base] @ matrices[key[2]] if rule is None
+                            else matrices[base].power(key[2], chains.setdefault(base, [])))
         named[slot] = ids[key]
     value = float(automaton.initial @ matrices[named[-1]].entries @ automaton._final_vector)
-    return lengths[-1], min(max(value, 0.0), 1.0)
+    return min(max(value, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,26 +387,22 @@ def sweep(automaton: ProbabilisticAutomaton, expr: OmegaExpression, mode: str, n
           reference=None) -> ConvergenceReport:
     """Report the acceptance probabilities of the `mode` realizations of
     `expr` at n = 1..n_max, with `reference(exponents)` when given.  The
-    expression is planned once; each n runs the plan's integer steps, and
-    each distinct exponent tuple is evaluated once, its length, value and
-    reference objects serving every sample that repeats it."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    expression is planned once; each n runs the plan's integer steps for
+    its exponents and length, and each distinct exponent tuple is evaluated
+    once, its length, value and reference objects serving every sample
+    that repeats it."""
+    plan = lengths, _, letters = _plan(expr, mode)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    plan = lengths, steps, letters = _plan(expr)
-    if mode == "superpolynomial":   # the outer power is one more step, into a new root slot
-        lengths, steps = lengths + (None,), steps + ((len(lengths), len(lengths) - 1, None),)
     matrices = [None] * len(lengths)
     for slot, token in letters:
         matrices[slot] = automaton.word_matrix((token,))
-    powered, memo, rows, samples = (lengths, steps, letters), ({}, matrices, {}), {}, []
+    memo, rows, samples = ({}, matrices, {}), {}, []
     for n in range(1, n_max + 1):
-        exponents = _exponents(plan, n, mode)
+        exponents, length = _exponents(plan, n)
         row = rows.get(exponents)
         if row is None:
-            length, value = _evaluate(automaton, powered, exponents, memo)
-            row = rows[exponents] = (length, value,
+            row = rows[exponents] = (length, _evaluate(automaton, plan, exponents, memo),
                                      None if reference is None else reference(exponents))
         samples.append(SamplePoint._wrap(n, *row))
     return build_report(samples)

@@ -762,6 +762,10 @@ class TestAgainstReferenceKernel:
         stopped = markov_monoid(automaton, stop=recording)
         assert stopped.masks == monoid.masks[:size]
         assert calls == list(monoid.masks[:size])
+        # A stop that never accepts reaches the re-run on tuple keys.
+        every = []
+        markov_monoid(automaton, stop=lambda masks: every.append(masks) or False)
+        assert every == list(monoid.masks)
 
     def test_seeded_wide_rows(self):
         # A random 11-state, 3-letter automaton whose 282 distinct rows

@@ -14,6 +14,7 @@ from prostochastic import (Concat, IdempotenceError, Literal, Power, Probabilist
                            realize_polynomial, realize_superpolynomial,
                            schedule_acceptance_probability, stabilize,
                            superpolynomial_exponent)
+from prostochastic.expressions import postorder
 from prostochastic.numerics import ConvergenceReport, RateFit, build_report
 from prostochastic import numerics
 from conftest import (absorbing_automaton, expand_schedule, exponents_by_postorder,
@@ -297,12 +298,17 @@ class TestRealization:
         assert realize_superpolynomial(expr, 2) == Power(Literal(("a",)), 2)
 
     def test_superpolynomial_length_formula(self):
-        expr = parse_expression("b a^w", ("a", "b"))
-        n = 7
-        inner = realize_polynomial(expr, n)
-        schedule = realize_superpolynomial(expr, n)
-        assert schedule == Power(inner, superpolynomial_exponent(n * inner.length))
-        assert schedule.length == inner.length * superpolynomial_exponent(n * inner.length)
+        # Over the plan corpus: the outer power wraps the polynomial
+        # realization, whose powers take the post-order walk's exponents.
+        for expr in TestExponentPlan().expressions():
+            for n in range(1, 41):
+                inner = realize_polynomial(expr, n)
+                schedule = realize_superpolynomial(expr, n)
+                assert schedule == Power(inner, superpolynomial_exponent(n * inner.length))
+                assert schedule.length == inner.length * superpolynomial_exponent(n * inner.length)
+                assert tuple(node.exponent for node in postorder(inner)
+                             if isinstance(node, Power)) == \
+                    exponents_by_postorder(expr, n, "polynomial")
 
     def test_rejects_non_positive_index(self):
         with pytest.raises(ValueError):
@@ -337,17 +343,17 @@ class TestExponentPlan:
     @pytest.mark.parametrize("mode", ["polynomial", "superpolynomial"])
     def test_plan_matches_a_postorder_walk_per_n(self, mode):
         for expr in self.expressions():
-            plan = numerics._plan(expr)
+            plan = numerics._plan(expr, mode)
             for n in (*range(1, 41), *range(41, 400, 9), 400):
-                assert numerics._exponents(plan, n, mode) == exponents_by_postorder(expr, n, mode)
+                assert numerics._exponents(plan, n)[0] == exponents_by_postorder(expr, n, mode)
 
     def test_one_plan_per_sweep_and_per_build(self, monkeypatch, schedule_builds):
         plans = []
         original = numerics._plan
 
-        def counting(expr):
+        def counting(expr, mode):
             plans.append(expr)
-            return original(expr)
+            return original(expr, mode)
 
         monkeypatch.setattr(numerics, "_plan", counting)
         automaton = counterexample_automaton(0.7)
